@@ -41,27 +41,26 @@ from .morphisms import (
     assemble_sl2_morphism,
     case_oracle_mismatches,
     doubling_morphism,
-    evaluate,
     isotropic_orthogonal_witness,
     pair_to_ym4_morphism,
     projection_morphism,
-    relation_residuals,
     solvable_image_audit,
     solvable_non_nilpotent_example,
     sl2_case_residual,
     witt_virasoro_morphism,
     yu_morphism,
 )
+from .linalg import Subspace
 from .scalars import GaussianRational, parse_scalar
 from .targets import (
+    ImageAnalysis,
     SeriesReport,
     StructureConstantAlgebra,
-    Subspace,
     TargetElement,
     WindowReport,
     WittElement,
     algebra_from_json,
-    bracket_in,
+    analyze_image,
     generated_window,
     heisenberg,
     series_analysis,
@@ -73,7 +72,6 @@ from .targets import (
     witt_zero,
 )
 from .ym_quotient import (
-    GradedSubspace,
     YangMillsPresentation,
     dims_table,
     dims_table_csv,

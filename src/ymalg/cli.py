@@ -40,11 +40,10 @@ from .targets import (
     StructureConstantAlgebra,
     WittElement,
     algebra_from_json,
+    analyze_image,
     generated_window,
     heisenberg,
-    series_analysis,
     sl_algebra,
-    subalgebra_closure,
     witt_c,
     witt_e,
     witt_zero,
@@ -111,7 +110,8 @@ def parse_element(target, text: str):
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in "+-" and depth == 0 and k > start:
+        elif ch in "+-" and depth == 0 and k > start and s[k - 1] != "_":
+            # the sign in "e_-2" belongs to the Witt index
             terms.append(s[start:k])
             start = k
     terms.append(s[start:])
@@ -249,18 +249,31 @@ def _cmd_dims(args, echo):
     return _report(echo, None, digest, results), 0
 
 
-def _finite_image_report(target, phi: GeneratorMorphism) -> dict:
-    nonzero = [img for img in phi.images if not img.is_zero]
-    if not nonzero:
-        return {"image_dim": 0, "solvable": True, "nilpotent": True,
-                "surjective": target.dim == 0}
-    space = subalgebra_closure(target, nonzero)
-    series = series_analysis(target, space)
+def _image_results(target, images, args) -> dict:
+    """Image report shared by verify and pair: closure dimension and series
+    for finite targets, window coverage for Witt/Virasoro."""
+    if isinstance(target, StructureConstantAlgebra):
+        image = analyze_image(target, images)
+        return {
+            "image_dim": image.image_dim,
+            "solvable": image.is_solvable,
+            "nilpotent": image.is_nilpotent,
+            "surjective": image.is_surjective,
+        }
+    window = generated_window(
+        [img for img in images if not img.is_zero] or [witt_zero()],
+        depth=args.depth,
+        window=args.window,
+        virasoro=target.virasoro,
+    )
     return {
-        "image_dim": space.dim,
-        "solvable": series.is_solvable,
-        "nilpotent": series.is_nilpotent,
-        "surjective": space.dim == target.dim,
+        "window": {
+            "depth": window.depth,
+            "window": window.window,
+            "covered": list(window.covered),
+            "covers_window": window.covers_window(),
+            "central_covered": window.central_covered,
+        }
     }
 
 
@@ -280,22 +293,7 @@ def _cmd_verify(args, echo):
         "nilpotent": None,
         "surjective": None,
     }
-    if isinstance(phi.target, StructureConstantAlgebra):
-        results.update(_finite_image_report(phi.target, phi))
-    else:
-        window = generated_window(
-            [img for img in phi.images if not img.is_zero] or [witt_zero()],
-            depth=args.depth,
-            window=args.window,
-            virasoro=phi.target.virasoro,
-        )
-        results["window"] = {
-            "depth": window.depth,
-            "window": window.window,
-            "covered": list(window.covered),
-            "covers_window": window.covers_window(),
-            "central_covered": window.central_covered,
-        }
+    results.update(_image_results(phi.target, phi.images, args))
     return _report(echo, None, digest, results), 0 if residuals_zero else 1
 
 
@@ -370,29 +368,7 @@ def _cmd_pair(args, echo):
         "residuals_zero": residuals_zero,
         "residuals": [str(r) for r in residuals],
     }
-    if isinstance(target, StructureConstantAlgebra):
-        space = subalgebra_closure(target, [x for x in (a, b) if not x.is_zero])
-        series = series_analysis(target, space)
-        results.update(
-            {
-                "image_dim": space.dim,
-                "surjective": space.dim == target.dim,
-                "solvable": series.is_solvable,
-                "nilpotent": series.is_nilpotent,
-            }
-        )
-    else:
-        window = generated_window(
-            [a, b], depth=args.depth, window=args.window,
-            virasoro=target.virasoro,
-        )
-        results["window"] = {
-            "depth": window.depth,
-            "window": window.window,
-            "covered": list(window.covered),
-            "covers_window": window.covers_window(),
-            "central_covered": window.central_covered,
-        }
+    results.update(_image_results(target, (a, b), args))
     return _report(echo, None, digest, results), 0 if residuals_zero else 1
 
 

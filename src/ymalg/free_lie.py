@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GaussianRational, parse_scalar
+from .scalars import GaussianRational, format_linear, parse_scalar
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -254,12 +254,12 @@ class FreeLieElement:
         part = {w: c for w, c in self.terms.items() if len(w) == d}
         return FreeLieElement(self.n, part, _trusted=True)
 
-    def coordinates(self, d: int, basis: Sequence | None = None) -> list:
-        """Coefficient vector of the degree-d part in lyndon_basis(n, d) order."""
-        if basis is None:
-            basis = lyndon_basis(self.n, d)
-        zero = GaussianRational(0)
-        return [self.terms.get(w, zero) for w in basis]
+    def _vector(self) -> dict:
+        return self.terms
+
+    def _like(self, terms: Mapping) -> "FreeLieElement":
+        """An element of the same f(n) with the given (clean) terms."""
+        return FreeLieElement(self.n, terms, _trusted=True)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -314,28 +314,8 @@ class FreeLieElement:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            s = str(c)
-            if s == "1":
-                coeff, sign = "", "+"
-            elif s == "-1":
-                coeff, sign = "", "-"
-            elif s.startswith("-") and ("+" not in s[1:] and "-" not in s[1:]):
-                coeff, sign = s[1:] + "·", "-"
-            elif "+" in s[1:] or "-" in s[1:]:
-                coeff, sign = f"({s})·", "+"
-            else:
-                coeff, sign = s + "·", "+"
-            bits.append((sign, coeff + repr(w)))
-        first_sign, first_body = bits[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        return format_linear(((repr(w), self.terms[w]) for w in words), "·")
 
 
 def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:

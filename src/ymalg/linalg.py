@@ -7,11 +7,15 @@ division happens until rows are normalized for output.  Pivoting is exact,
 on the first nonzero column of each incoming row.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
-coordinates, tuples for the Witt index/central columns).
+coordinates, Lyndon words for free Lie coordinates, tuples for the Witt
+index/central columns).  ``Subspace`` wraps an Echelon around one ambient
+space of sparse elements; ideal components, subalgebra closures and series
+terms are all Subspaces.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -50,19 +54,45 @@ def _gmul(x: tuple, y: tuple) -> tuple:
     return (a * c - b * d, a * d + b * c)
 
 
+def _eliminate(row: dict, col, pivot_row: dict) -> dict:
+    """Cross-multiply to clear ``row[col]`` with a pivot row led at ``col``."""
+    lead_p = pivot_row[col]
+    lead_r = row[col]
+    new = {c: _gmul(lead_p, v) for c, v in row.items()}
+    for c, v in pivot_row.items():
+        sub = _gmul(lead_r, v)
+        cur = new.get(c, (0, 0))
+        val = (cur[0] - sub[0], cur[1] - sub[1])
+        if val == (0, 0):
+            new.pop(c, None)
+        else:
+            new[c] = val
+    return _content_reduce(new)
+
+
+def _normalize(row: dict, pivot) -> dict:
+    """Divide a Gaussian-integer row by its entry at ``pivot``; the result
+    maps columns to GaussianRationals."""
+    c, d = row[pivot]
+    norm = c * c + d * d
+    return {
+        col: GaussianRational(
+            Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm)
+        )
+        for col, (a, b) in row.items()
+    }
+
+
 class Echelon:
     """Incremental exact row echelon form used for rank and membership."""
 
     def __init__(self):
         self._rows: dict = {}  # pivot column -> sparse Gaussian-integer row
+        self._basis = None  # reduced_basis(), until the next accepted insert
 
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> list:
-        return sorted(self._rows)
 
     def _reduce(self, row: dict) -> dict:
         # eliminate against stored pivots; each step zeroes the current
@@ -72,18 +102,7 @@ class Echelon:
             pivot_row = self._rows.get(col)
             if pivot_row is None:
                 return row
-            lead_p = pivot_row[col]
-            lead_r = row[col]
-            new = {c: _gmul(lead_p, v) for c, v in row.items()}
-            for c, v in pivot_row.items():
-                sub = _gmul(lead_r, v)
-                cur = new.get(c, (0, 0))
-                val = (cur[0] - sub[0], cur[1] - sub[1])
-                if val == (0, 0):
-                    new.pop(c, None)
-                else:
-                    new[c] = val
-            row = _content_reduce(new)
+            row = _eliminate(row, col, pivot_row)
         return row
 
     def insert(self, vec: Mapping) -> bool:
@@ -92,65 +111,90 @@ class Echelon:
         if not row:
             return False
         self._rows[min(row)] = row
+        self._basis = None
         return True
-
-    def insert_dense(self, values: Sequence) -> bool:
-        return self.insert({i: c for i, c in enumerate(values) if c})
 
     def contains(self, vec: Mapping) -> bool:
         return not self._reduce(_to_int_row(vec))
 
-    def contains_dense(self, values: Sequence) -> bool:
-        return self.contains({i: c for i, c in enumerate(values) if c})
+    def reduced_basis(self) -> list:
+        """The canonical basis of the span as (pivot, {col: GaussianRational})
+        pairs sorted by pivot: leading coefficient 1 and zeros in every other
+        pivot column.  Back substitution runs fraction-free over Z[i]; each
+        row is divided by its leading entry once, at the end."""
+        if self._basis is None:
+            reduced: dict = {}
+            for pivot in sorted(self._rows, reverse=True):
+                row = self._rows[pivot]
+                # rows in ``reduced`` vanish on every other pivot column, so
+                # clearing one pivot column never refills another
+                for col in [c for c in row if c != pivot and c in reduced]:
+                    row = _eliminate(row, col, reduced[col])
+                reduced[pivot] = row
+            self._basis = [(p, _normalize(reduced[p], p)) for p in sorted(reduced)]
+        return self._basis
 
     def rref(self, columns: Sequence) -> list:
-        """Canonical reduced rows (dense Q(i) vectors in the given column
-        order, leading coefficient 1, zeros above pivots), sorted by pivot."""
-        order = {col: k for k, col in enumerate(columns)}
-        rows = []
-        for pivot in sorted(self._rows, key=lambda c: order[c]):
-            raw = self._rows[pivot]
-            lead = GaussianRational(*raw[pivot])
-            dense = [GaussianRational(0)] * len(columns)
-            for col, (a, b) in raw.items():
-                dense[order[col]] = GaussianRational(a, b) / lead
-            rows.append(dense)
-        # clear entries above every pivot
-        pivots = [min(order[c] for c, v in zip(columns, r) if v) if any(r) else None
-                  for r in rows]
-        for i in range(len(rows) - 1, -1, -1):
-            p = pivots[i]
-            for j in range(i):
-                factor = rows[j][p]
-                if factor:
-                    rows[j] = [
-                        x - factor * y for x, y in zip(rows[j], rows[i])
-                    ]
-        return rows
-
-
-def rref(matrix: Iterable[Sequence], ncols: int) -> list:
-    """Reduced row-echelon form of a dense Q(i) matrix; zero rows dropped."""
-    ech = Echelon()
-    for row in matrix:
-        ech.insert_dense(row)
-    return ech.rref(range(ncols))
+        """Dense view of ``reduced_basis``: one Q(i) list per basis row, in
+        the given column order (which must list the columns ascending)."""
+        zero = GaussianRational(0)
+        return [
+            [row.get(col, zero) for col in columns] for _, row in self.reduced_basis()
+        ]
 
 
 def rank(matrix: Iterable[Sequence]) -> int:
     ech = Echelon()
     for row in matrix:
-        ech.insert_dense(row)
+        ech.insert(dict(enumerate(row)))
     return ech.dim
 
 
-def reduce_against_rref(
-    rows: Sequence[Sequence], pivots: Sequence[int], vec: Sequence
-) -> list:
-    """Residue of ``vec`` modulo the row space of a canonical RREF matrix."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        factor = v[p]
-        if factor:
-            v = [x - factor * y for x, y in zip(v, row)]
-    return v
+class Subspace:
+    """The span of elements of one ambient space, kept as an Echelon.
+
+    ``zero`` is the ambient zero element (a FreeLieElement or a
+    TargetElement); elements are read through its ``_vector`` and built
+    through its ``_like``.  ``columns`` lists the coordinate keys the
+    subspace lives on, ascending; ``add`` and ``contains`` ignore
+    coordinates on other keys.
+    """
+
+    def __init__(self, zero, columns: Iterable, elements: Iterable = ()):
+        self.zero = zero
+        self.columns = tuple(columns)
+        self._colset = frozenset(self.columns)
+        self._ech = Echelon()
+        for elem in elements:
+            self.add(elem)
+
+    @property
+    def dim(self) -> int:
+        return self._ech.dim
+
+    def _coords(self, elem) -> dict:
+        self.zero._require_same(elem)
+        cols = self._colset
+        return {k: c for k, c in elem._vector().items() if k in cols}
+
+    def add(self, elem) -> bool:
+        """Extend the span by ``elem``; True if it was independent."""
+        return self._ech.insert(self._coords(elem))
+
+    def contains(self, elem) -> bool:
+        return self._ech.contains(self._coords(elem))
+
+    def basis_elements(self) -> list:
+        """The canonical reduced basis as elements, sorted by pivot."""
+        return [self.zero._like(row) for _, row in self._ech.reduced_basis()]
+
+    @property
+    def rows(self) -> tuple:
+        """Canonical RREF rows as dense tuples in column order."""
+        return tuple(map(tuple, self._ech.rref(self.columns)))
+
+    @property
+    def pivots(self) -> tuple:
+        """Position in ``columns`` of each row's pivot."""
+        index = {col: k for k, col in enumerate(self.columns)}
+        return tuple(index[p] for p, _ in self._ech.reduced_basis())

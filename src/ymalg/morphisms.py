@@ -25,9 +25,8 @@ from .targets import (
     StructureConstantAlgebra,
     TargetElement,
     WittElement,
-    series_analysis,
+    analyze_image,
     sl_algebra,
-    subalgebra_closure,
     witt_bracket,
     witt_e,
     witt_zero,
@@ -135,14 +134,6 @@ class GeneratorMorphism:
     def __repr__(self):
         imgs = ", ".join(f"x_{k+1} -> {img!r}" for k, img in enumerate(self.images))
         return f"GeneratorMorphism({imgs})"
-
-
-def evaluate(phi: GeneratorMorphism, a: FreeLieElement):
-    return phi.evaluate(a)
-
-
-def relation_residuals(phi: GeneratorMorphism, strong: bool = False) -> list:
-    return phi.relation_residuals(strong)
 
 
 # -- canonical quotient constructions ----------------------------------------------
@@ -351,16 +342,10 @@ class MorphismAnalysis:
 
 
 def analyze_sl2_morphism(phi: GeneratorMorphism) -> MorphismAnalysis:
-    sl2 = phi.target
-    residuals_zero = phi.residuals_vanish()
-    nonzero = [img for img in phi.images if not img.is_zero]
-    if nonzero:
-        space = subalgebra_closure(sl2, nonzero)
-        report = series_analysis(sl2, space)
-        return MorphismAnalysis(
-            residuals_zero, space.dim, report.is_solvable, report.is_nilpotent
-        )
-    return MorphismAnalysis(residuals_zero, 0, True, True)
+    image = analyze_image(phi.target, phi.images)
+    return MorphismAnalysis(
+        phi.residuals_vanish(), image.image_dim, image.is_solvable, image.is_nilpotent
+    )
 
 
 @dataclass(frozen=True)

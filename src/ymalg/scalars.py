@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 
 class GaussianRational:
@@ -149,6 +150,13 @@ _SCALAR_FULL = re.compile(
 _SCALAR_TERM = re.compile(rf"([+-]?)\s*({_TERM_BODY})")
 
 
+def _fraction(body: str, text) -> Fraction:
+    try:
+        return Fraction(body)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
 def parse_scalar(text) -> GaussianRational:
     """Parse the scalar grammar: "3/2", "-1+2i", "i", "0", "1/2-3/4i"."""
     if isinstance(text, GaussianRational):
@@ -165,7 +173,32 @@ def parse_scalar(text) -> GaussianRational:
         body = body.replace(" ", "").replace("*", "")
         if body.endswith("i"):
             coeff = body[:-1]
-            im_part += factor * (Fraction(coeff) if coeff else 1)
+            im_part += factor * (_fraction(coeff, text) if coeff else 1)
         else:
-            re_part += factor * Fraction(body)
+            re_part += factor * _fraction(body, text)
     return GaussianRational(re_part, im_part)
+
+
+def format_linear(pairs: Iterable, times: str = "*") -> str:
+    """Render a linear combination from (label, scalar) pairs, e.g.
+    ``2*e - h + (1+i)*f``: unit coefficients are elided, negative rationals
+    become subtraction and complex coefficients are parenthesized.  The
+    empty combination renders as ``0``."""
+    out = ""
+    for label, c in pairs:
+        s = str(c)
+        if s == "1":
+            sign, body = "+", label
+        elif s == "-1":
+            sign, body = "-", label
+        elif s.startswith("-") and "+" not in s[1:] and "-" not in s[1:]:
+            sign, body = "-", s[1:] + times + label
+        elif "+" in s[1:] or "-" in s[1:]:
+            sign, body = "+", f"({s}){times}{label}"
+        else:
+            sign, body = "+", s + times + label
+        if out:
+            out += f" {sign} {body}"
+        else:
+            out = ("-" if sign == "-" else "") + body
+    return out or "0"

@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .linalg import Echelon, reduce_against_rref
-from .scalars import GaussianRational, parse_scalar
+from .linalg import Echelon, Subspace
+from .scalars import GaussianRational, format_linear, parse_scalar
 
 
 # -- structure-constant algebras ----------------------------------------------
@@ -190,8 +190,12 @@ class TargetElement:
     def bracket(self, other: "TargetElement") -> "TargetElement":
         return self.algebra.bracket(self, other)
 
-    def dense(self) -> list:
-        return [self.coords.get(k, _ZERO) for k in range(self.algebra.dim)]
+    def _vector(self) -> dict:
+        return self.coords
+
+    def _like(self, coords: Mapping) -> "TargetElement":
+        """An element of the same algebra with the given coordinates."""
+        return TargetElement(self.algebra, coords)
 
     def __eq__(self, other):
         if not isinstance(other, TargetElement):
@@ -202,40 +206,9 @@ class TargetElement:
         return hash((id(self.algebra), frozenset(self.coords.items())))
 
     def __repr__(self):
-        if not self.coords:
-            return "0"
-        return _format_linear(
+        return format_linear(
             (self.algebra.labels[k], self.coords[k]) for k in sorted(self.coords)
         )
-
-
-def _format_linear(pairs: Iterable) -> str:
-    bits = []
-    for label, c in pairs:
-        s = str(c)
-        if s == "1":
-            sign, coeff = "+", ""
-        elif s == "-1":
-            sign, coeff = "-", ""
-        elif s.startswith("-") and "+" not in s[1:] and "-" not in s[1:]:
-            sign, coeff = "-", s[1:] + "*"
-        elif "+" in s[1:] or "-" in s[1:]:
-            sign, coeff = "+", f"({s})*"
-        else:
-            sign, coeff = "+", s + "*"
-        bits.append((sign, coeff + label))
-    sign0, body0 = bits[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in bits[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def bracket_in(
-    algebra: StructureConstantAlgebra, u: TargetElement, v: TargetElement
-) -> TargetElement:
-    """Bracket of two elements of the given algebra (errors on mismatch)."""
-    return algebra.bracket(u, v)
 
 
 # -- built-in algebras ---------------------------------------------------------
@@ -361,47 +334,6 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
 # -- subspaces, closures, series -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of a structure-constant algebra, canonical RREF rows."""
-
-    algebra: StructureConstantAlgebra
-    rows: tuple
-    pivots: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, elem: TargetElement) -> bool:
-        if elem.algebra is not self.algebra:
-            raise ValueError("algebra mismatch")
-        residue = reduce_against_rref(self.rows, self.pivots, elem.dense())
-        return not any(residue)
-
-    def basis_elements(self) -> list:
-        return [
-            TargetElement(self.algebra, {k: c for k, c in enumerate(row) if c})
-            for row in self.rows
-        ]
-
-    def is_bracket_closed(self) -> bool:
-        elems = self.basis_elements()
-        return all(
-            self.contains(self.algebra.bracket(a, b))
-            for i, a in enumerate(elems)
-            for b in elems[i + 1 :]
-        )
-
-
-def _subspace(algebra: StructureConstantAlgebra, ech: Echelon) -> Subspace:
-    rows = ech.rref(range(algebra.dim))
-    pivots = tuple(next(k for k, v in enumerate(row) if v) for row in rows)
-    return Subspace(
-        algebra=algebra, rows=tuple(tuple(r) for r in rows), pivots=pivots
-    )
-
-
 def subalgebra_closure(
     algebra: StructureConstantAlgebra, gens: Sequence[TargetElement]
 ) -> Subspace:
@@ -412,30 +344,25 @@ def subalgebra_closure(
     """
     if not gens:
         raise ValueError("need a nonempty generator list")
-    for g in gens:
-        if g.algebra is not algebra:
-            raise ValueError("algebra mismatch")
-    ech = Echelon()
-    for g in gens:
-        ech.insert_dense(g.dense())
+    space = Subspace(algebra.zero(), range(algebra.dim), gens)  # ValueError on mismatch
     while True:
-        before = ech.dim
-        current = _subspace(algebra, ech).basis_elements()
+        before = space.dim
+        current = space.basis_elements()
         for i, a in enumerate(current):
             for b in list(gens) + current[i + 1 :]:
-                ech.insert_dense(algebra.bracket(a, b).dense())
-        if ech.dim == before:
-            return _subspace(algebra, ech)
+                space.add(algebra.bracket(a, b))
+        if space.dim == before:
+            return space
 
 
 def _bracket_span(
     algebra: StructureConstantAlgebra, A: Subspace, B: Subspace
 ) -> Subspace:
-    ech = Echelon()
+    span = Subspace(algebra.zero(), range(algebra.dim))
     for a in A.basis_elements():
         for b in B.basis_elements():
-            ech.insert_dense(algebra.bracket(a, b).dense())
-    return _subspace(algebra, ech)
+            span.add(algebra.bracket(a, b))
+    return span
 
 
 @dataclass(frozen=True)
@@ -461,9 +388,13 @@ def series_analysis(
 ) -> SeriesReport:
     """Derived series S, [S,S], ... and lower central series until they
     stabilize; solvable (resp. nilpotent) iff the series reaches zero."""
-    if space.algebra is not algebra:
-        raise ValueError("algebra mismatch")
-    if not space.is_bracket_closed():
+    algebra.zero()._require_same(space.zero)  # ValueError on algebra mismatch
+    elems = space.basis_elements()
+    if not all(
+        space.contains(algebra.bracket(a, b))
+        for i, a in enumerate(elems)
+        for b in elems[i + 1 :]
+    ):
         raise ValueError("subspace is not bracket-closed")
 
     derived = [space]
@@ -485,6 +416,31 @@ def series_analysis(
         lower_central_series=tuple(lower),
         is_solvable=derived[-1].dim == 0,
         is_nilpotent=lower[-1].dim == 0,
+    )
+
+
+@dataclass(frozen=True)
+class ImageAnalysis:
+    """The subalgebra generated by some elements of a finite algebra."""
+
+    image_dim: int
+    is_solvable: bool
+    is_nilpotent: bool
+    is_surjective: bool
+
+
+def analyze_image(
+    algebra: StructureConstantAlgebra, images: Sequence[TargetElement]
+) -> ImageAnalysis:
+    """Closure and series of the subalgebra generated by ``images`` (zero
+    images allowed; all-zero images generate the zero subalgebra)."""
+    nonzero = [img for img in images if not img.is_zero]
+    if not nonzero:
+        return ImageAnalysis(0, True, True, algebra.dim == 0)
+    space = subalgebra_closure(algebra, nonzero)
+    series = series_analysis(algebra, space)
+    return ImageAnalysis(
+        space.dim, series.is_solvable, series.is_nilpotent, space.dim == algebra.dim
     )
 
 
@@ -552,12 +508,10 @@ class WittElement:
         return hash((frozenset(self.terms.items()), self.central))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
         pairs = [(f"e_{k}", self.terms[k]) for k in sorted(self.terms)]
         if self.central:
             pairs.append(("c", self.central))
-        return _format_linear(pairs)
+        return format_linear(pairs)
 
 
 def witt_e(k: int, coeff=1) -> WittElement:

@@ -16,7 +16,6 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .free_lie import (
     DEFAULT_DEGREE_CAP,
@@ -27,7 +26,7 @@ from .free_lie import (
     free_lie_dim,
     lyndon_basis,
 )
-from .linalg import Echelon, reduce_against_rref
+from .linalg import Subspace
 
 
 @dataclass(frozen=True)
@@ -88,82 +87,30 @@ def strong_relation_elements(n: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
-    """A subspace of f(n)_d as a reduced row-echelon coefficient matrix in
-    lyndon_basis(n, d) coordinates.  No zero rows; row count = dimension."""
-
-    n: int
-    degree: int
-    rows: tuple
-    pivots: tuple
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "GradedSubspace":
-        return cls(n=n, degree=degree, rows=(), pivots=())
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains_coords(self, coords: Sequence) -> bool:
-        residue = reduce_against_rref(self.rows, self.pivots, coords)
-        return not any(residue)
-
-    def contains(self, elem: FreeLieElement) -> bool:
-        if elem.n != self.n:
-            raise ValueError("generator count mismatch")
-        return self.contains_coords(elem.coordinates(self.degree))
-
-    def basis_elements(self) -> list:
-        basis = lyndon_basis(self.n, self.degree)
-        return [
-            FreeLieElement(
-                self.n,
-                {w: c for w, c in zip(basis, row) if c},
-                _trusted=True,
-            )
-            for row in self.rows
-        ]
-
-
-def _subspace_from_echelon(n: int, degree: int, ech: Echelon) -> GradedSubspace:
-    ncols = free_lie_dim(n, degree)
-    rows = ech.rref(range(ncols))
-    pivots = tuple(next(k for k, v in enumerate(row) if v) for row in rows)
-    return GradedSubspace(
-        n=n,
-        degree=degree,
-        rows=tuple(tuple(row) for row in rows),
-        pivots=pivots,
-    )
-
-
 @lru_cache(maxsize=None)
-def _ideal_component(pres: YangMillsPresentation, d: int) -> GradedSubspace:
+def _ideal_component(pres: YangMillsPresentation, d: int) -> Subspace:
     n = pres.n
-    if d < 3:
-        return GradedSubspace.zero(n, d)
-    basis = lyndon_basis(n, d)
-    ech = Echelon()
+    space = Subspace(FreeLieElement.zero(n), lyndon_basis(n, d))
     if d == 3:
         for r in pres.relators:
             if not r.is_zero:
-                ech.insert_dense(r.coordinates(3, basis))
-    else:
+                space.add(r)
+    elif d > 3:
         generators = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
         for elem in _ideal_component(pres, d - 1).basis_elements():
             for x in generators:
-                ech.insert_dense(bracket(x, elem).coordinates(d, basis))
-    return _subspace_from_echelon(n, d, ech)
+                space.add(bracket(x, elem))
+    return space
 
 
 def ideal_graded_component(
     pres: YangMillsPresentation, d: int, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> GradedSubspace:
+) -> Subspace:
     """Degree-d component of the two-sided Lie ideal generated by the
-    relators, computed by iterated bracketing with the generators followed
-    by exact row reduction.  Degrees below 3 give the zero subspace."""
+    relators, as a Subspace on lyndon_basis(n, d), computed by iterated
+    bracketing with the generators followed by exact row reduction.  Degrees
+    below 3 give the zero subspace.  The result is cached and shared: do not
+    add to it."""
     if d < 1:
         raise ValueError("need d >= 1")
     _check_cap(d, degree_cap)

@@ -169,6 +169,15 @@ class TestVerify:
         proc = run_cli("verify", "/nonexistent/morphism.json")
         assert proc.returncode == 2
 
+    def test_zero_denominator_is_input_error(self, spec_file):
+        path = spec_file(
+            "div0.json", {"n": 1, "target": "sl2", "images": [{"e": "1/0"}]}
+        )
+        proc = run_cli("verify", path)
+        assert proc.returncode == 2
+        assert "zero denominator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCaseStudy:
     def test_both_branches_clean(self):
@@ -230,6 +239,34 @@ class TestPair:
         results = results_of(proc)
         assert results["residuals_zero"] is True
         assert results["window"]["central_covered"] is True
+
+    def test_all_zero_pair_agrees_with_verify(self, spec_file):
+        proc = run_cli("pair", "--target", "sl2", "--a", "0*e", "--b", "0*f")
+        assert proc.returncode == 0
+        pair = results_of(proc)
+        path = spec_file(
+            "zero.json",
+            {"n": 4, "target": "sl2", "images": [{"e": "0"}, {"f": "0"}, {}, {}]},
+        )
+        verify = results_of(run_cli("verify", path))
+        keys = ("image_dim", "solvable", "nilpotent", "surjective")
+        assert {k: pair[k] for k in keys} == {k: verify[k] for k in keys} == {
+            "image_dim": 0, "solvable": True, "nilpotent": True, "surjective": False,
+        }
+
+    def test_witt_negative_index_in_sums(self):
+        from ymalg.cli import parse_element
+        from ymalg.morphisms import WittTarget
+        from ymalg.targets import witt_e
+
+        got = parse_element(WittTarget(), "2*e_-1 - e_-2 + e_3")
+        assert got == witt_e(-1) * 2 - witt_e(-2) + witt_e(3)
+
+    def test_witt_negative_index_shortcut(self):
+        proc = run_cli("pair", "--target", "witt", "--a", "e_-2", "--b", "e_3")
+        assert proc.returncode == 0
+        default = run_cli("pair", "--target", "witt")
+        assert results_of(proc) == results_of(default)
 
     def test_missing_generators_for_finite_target(self):
         proc = run_cli("pair", "--target", "sl2")

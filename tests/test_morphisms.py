@@ -13,11 +13,9 @@ from ymalg.morphisms import (
     assemble_sl2_morphism,
     case_oracle_mismatches,
     doubling_morphism,
-    evaluate,
     isotropic_orthogonal_witness,
     pair_to_ym4_morphism,
     projection_morphism,
-    relation_residuals,
     sl2_case_residual,
     solvable_image_audit,
     solvable_non_nilpotent_example,
@@ -44,8 +42,8 @@ class TestEvaluate:
     def test_yu_bracket_images(self):
         phi = yu_morphism()
         sl3 = phi.target
-        assert evaluate(phi, bracket(x(3, 1), x(3, 2))) == sl3.basis_element("E13")
-        assert evaluate(phi, bracket(x(3, 2), x(3, 3))) == sl3.basis_element("E21")
+        assert phi.evaluate(bracket(x(3, 1), x(3, 2))) == sl3.basis_element("E13")
+        assert phi.evaluate(bracket(x(3, 2), x(3, 3))) == sl3.basis_element("E21")
 
     def test_ef_images(self):
         sl2 = sl_algebra(2)
@@ -326,7 +324,7 @@ class TestAudit:
 class TestModuleLevelWrappers:
     def test_relation_residuals_wrapper(self):
         phi = doubling_morphism(1)
-        assert [r.is_zero for r in relation_residuals(phi)] == [True, True]
+        assert [r.is_zero for r in phi.relation_residuals()] == [True, True]
 
     def test_free_target_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ymalg.scalars import GaussianRational, parse_scalar
+from ymalg.scalars import GaussianRational, format_linear, parse_scalar
 
 small_fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -94,3 +94,37 @@ def test_is_rational_integer():
     assert GaussianRational(3).is_rational_integer()
     assert not GaussianRational(Fraction(1, 2)).is_rational_integer()
     assert not GaussianRational(1, 1).is_rational_integer()
+
+
+def test_zero_denominator_is_value_error():
+    for text in ("1/0", "2+1/0i", "3/0i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
+def test_format_linear_branches():
+    pairs = [
+        ("a", parse_scalar("1")),
+        ("b", parse_scalar("-1")),
+        ("c", parse_scalar("-3/2")),
+        ("d", parse_scalar("1-2i")),
+        ("e", parse_scalar("2i")),
+    ]
+    assert format_linear(pairs) == "a - b - 3/2*c + (1-2i)*d + 2i*e"
+    assert format_linear(pairs, "·") == "a - b - 3/2·c + (1-2i)·d + 2i·e"
+    assert format_linear(pairs[1:2]) == "-b"
+    assert format_linear([]) == "0"
+
+
+def test_free_lie_and_target_reprs_share_the_formatter():
+    from ymalg.free_lie import FreeLieElement
+    from ymalg.targets import sl_algebra
+
+    coeffs = [parse_scalar(c) for c in ("-1", "1+i", "-2/3")]
+    x = [FreeLieElement.generator(3, j) for j in (1, 2, 3)]
+    sl2 = sl_algebra(2)
+    t = [sl2.basis_element(k) for k in ("e", "h", "f")]
+    free = x[0] * coeffs[0] + x[1] * coeffs[1] + x[2] * coeffs[2]
+    target = t[0] * coeffs[0] + t[1] * coeffs[1] + t[2] * coeffs[2]
+    assert repr(free) == "-⟨1⟩ + (1+i)·⟨2⟩ - 2/3·⟨3⟩"
+    assert repr(target) == "-e + (1+i)*h - 2/3*f"

@@ -1,10 +1,16 @@
 import pytest
 
 from oracle_utils import fraction_rank, tensor_of_element
-from ymalg.free_lie import DegreeCapExceeded, FreeLieElement, bracket, free_lie_dim
+from ymalg.free_lie import (
+    DegreeCapExceeded,
+    FreeLieElement,
+    bracket,
+    free_lie_dim,
+    lyndon_basis,
+)
+from ymalg.linalg import Subspace
 from ymalg.scalars import GaussianRational as GR
 from ymalg.ym_quotient import (
-    GradedSubspace,
     dims_table,
     dims_table_csv,
     ideal_graded_component,
@@ -227,6 +233,7 @@ class TestTables:
         ]
 
     def test_zero_subspace_constructor(self):
-        z = GradedSubspace.zero(3, 2)
+        z = Subspace(FreeLieElement.zero(3), lyndon_basis(3, 2))
         assert z.dim == 0
         assert z.contains(FreeLieElement.zero(3))
+        assert not z.contains(bracket(*gens(3)[:2]))
