@@ -151,7 +151,11 @@ def load_morphism_spec(path: str) -> GeneratorMorphism:
         raise CliInputError(f"malformed JSON in {path}: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "images" not in data:
         raise CliInputError('morphism spec needs "n", "target" and "images"')
-    n = int(data["n"])
+    n, images_spec = data["n"], data["images"]
+    if type(n) is not int or n < 1:
+        raise CliInputError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(images_spec, list):
+        raise CliInputError(f'"images" must be a list, got {images_spec!r}')
     target_spec = data.get("target")
     if isinstance(target_spec, dict) and "custom" in target_spec:
         try:
@@ -162,7 +166,6 @@ def load_morphism_spec(path: str) -> GeneratorMorphism:
         target = resolve_target(target_spec)
     else:
         raise CliInputError(f"unknown target spec {target_spec!r}")
-    images_spec = data["images"]
     if len(images_spec) != n:
         raise CliInputError(
             f"image arity mismatch: n = {n} but {len(images_spec)} images"

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import Combination, accumulate
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 DEFAULT_DEGREE_CAP = 12
@@ -188,14 +189,14 @@ def clear_caches() -> None:
 # -- elements ----------------------------------------------------------------
 
 
-class FreeLieElement:
+class FreeLieElement(Combination):
     """A finite Q(i)-linear combination of Lyndon basis brackets of f(n).
 
     Immutable by convention: nothing in this package mutates ``terms`` after
     construction, and zero coefficients are pruned on entry.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping | None = None, _trusted: bool = False):
         if n < 1:
@@ -236,11 +237,14 @@ class FreeLieElement:
             raise ValueError(f"word {word!r} uses letters above {n}")
         return cls(n, {word: GaussianRational(1)}, _trusted=True)
 
-    # -- predicates / views ----------------------------------------------
+    def _space(self) -> str:
+        return f"f({self.n})"
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: Mapping) -> "FreeLieElement":
+        """An element of the same f(n) with the given (clean) terms."""
+        return FreeLieElement(self.n, terms, _trusted=True)
+
+    # -- views ------------------------------------------------------------
 
     def degrees(self) -> tuple:
         """Sorted degrees present in the element."""
@@ -251,67 +255,10 @@ class FreeLieElement:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "FreeLieElement":
-        part = {w: c for w, c in self.terms.items() if len(w) == d}
-        return FreeLieElement(self.n, part, _trusted=True)
-
-    def _vector(self) -> dict:
-        return self.terms
-
-    def _like(self, terms: Mapping) -> "FreeLieElement":
-        """An element of the same f(n) with the given (clean) terms."""
-        return FreeLieElement(self.n, terms, _trusted=True)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _require_same(self, other: "FreeLieElement") -> None:
-        if not isinstance(other, FreeLieElement):
-            raise TypeError(f"expected FreeLieElement, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"generator count mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return FreeLieElement(self.n, out, _trusted=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FreeLieElement(
-            self.n, {w: -c for w, c in self.terms.items()}, _trusted=True
-        )
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
-        if not scalar:
-            return FreeLieElement.zero(self.n)
-        return FreeLieElement(
-            self.n, {w: c * scalar for w, c in self.terms.items()}, _trusted=True
-        )
-
-    __rmul__ = __mul__
+        return self._like({w: c for w, c in self.terms.items() if len(w) == d})
 
     def bracket(self, other: "FreeLieElement") -> "FreeLieElement":
         return bracket(self, other)
-
-    # -- structure --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeLieElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         words = sorted(self.terms, key=lambda w: (len(w), w))
@@ -330,17 +277,8 @@ def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
         for wb, cb in b.terms.items():
             c = ca * cb
             for w, k in _bracket_words(tuple(wa), tuple(wb)).items():
-                s = out.get(w)
-                s = c * k if s is None else s + c * k
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-    return FreeLieElement(
-        a.n,
-        {LyndonWord._trusted(w): c for w, c in out.items()},
-        _trusted=True,
-    )
+                accumulate(out, w, c * k)
+    return a._like({LyndonWord._trusted(w): c for w, c in out.items()})
 
 
 def scalar_combine(

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(i).
+"""Exact linear algebra over Q(i), and the one sparse element type.
 
 Rows live as sparse Gaussian-integer vectors (denominators are cleared on
 entry) and elimination is fraction-free: each update is a cross
@@ -7,10 +7,12 @@ division happens until rows are normalized for output.  Pivoting is exact,
 on the first nonzero column of each incoming row.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
-coordinates, Lyndon words for free Lie coordinates, tuples for the Witt
-index/central columns).  ``Subspace`` wraps an Echelon around one ambient
-space of sparse elements; ideal components, subalgebra closures and series
-terms are all Subspaces.
+coordinates and Witt indices, Lyndon words for free Lie coordinates).
+``Combination`` is the base of every algebra element: a finite Q(i)-linear
+combination of basis keys with its vector-space arithmetic.  ``Subspace``
+wraps an Echelon around the span of Combinations of one ambient space;
+ideal components, subalgebra closures, series terms and Witt windows are all
+Subspaces.
 """
 
 from __future__ import annotations
@@ -150,20 +152,80 @@ def rank(matrix: Iterable[Sequence]) -> int:
     return ech.dim
 
 
-class Subspace:
-    """The span of elements of one ambient space, kept as an Echelon.
+def accumulate(acc: dict, key, value) -> None:
+    """``acc[key] += value``, dropping the key when the sum is zero."""
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
-    ``zero`` is the ambient zero element (a FreeLieElement or a
-    TargetElement); elements are read through its ``_vector`` and built
-    through its ``_like``.  ``columns`` lists the coordinate keys the
-    subspace lives on, ascending; ``add`` and ``contains`` ignore
-    coordinates on other keys.
+
+class Combination:
+    """A finite Q(i)-linear combination of basis keys: ``terms`` maps keys to
+    nonzero GaussianRationals.  Immutable by convention.
+
+    Subclasses name their ambient space with ``_space()`` (equal spaces
+    compare equal) and build an element of it from clean terms with
+    ``_like()``; combining elements of different spaces raises ValueError.
+    """
+
+    __slots__ = ("terms",)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _require_same(self, other) -> None:
+        mine = self._space()
+        theirs = other._space() if isinstance(other, Combination) else type(other).__name__
+        if theirs != mine:
+            raise ValueError(f"cannot combine elements of {mine} and {theirs}")
+
+    def __add__(self, other):
+        self._require_same(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, GaussianRational):
+            scalar = GaussianRational(scalar)
+        if not scalar:
+            return self._like({})
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+
+class Subspace:
+    """The span of Combinations of one ambient space, kept as an Echelon.
+
+    ``zero`` is the ambient zero element; elements enter through their
+    ``terms`` and the basis comes back through ``zero._like``.  ``columns``
+    lists the coordinate keys, ascending, for the dense ``rows`` and
+    ``pivots`` views.
     """
 
     def __init__(self, zero, columns: Iterable, elements: Iterable = ()):
         self.zero = zero
         self.columns = tuple(columns)
-        self._colset = frozenset(self.columns)
         self._ech = Echelon()
         for elem in elements:
             self.add(elem)
@@ -172,17 +234,14 @@ class Subspace:
     def dim(self) -> int:
         return self._ech.dim
 
-    def _coords(self, elem) -> dict:
-        self.zero._require_same(elem)
-        cols = self._colset
-        return {k: c for k, c in elem._vector().items() if k in cols}
-
     def add(self, elem) -> bool:
         """Extend the span by ``elem``; True if it was independent."""
-        return self._ech.insert(self._coords(elem))
+        self.zero._require_same(elem)
+        return self._ech.insert(elem.terms)
 
     def contains(self, elem) -> bool:
-        return self._ech.contains(self._coords(elem))
+        self.zero._require_same(elem)
+        return self._ech.contains(elem.terms)
 
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot."""

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .free_lie import FreeLieElement, bracket, standard_factorization
+from .linalg import Combination
 from .scalars import GaussianRational, parse_scalar
 from .targets import (
     StructureConstantAlgebra,
@@ -46,6 +47,12 @@ class FreeTarget:
 
     m: int
 
+    def zero(self) -> FreeLieElement:
+        return FreeLieElement.zero(self.m)
+
+    def bracket(self, u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
+        return bracket(u, v)
+
 
 @dataclass(frozen=True)
 class WittTarget:
@@ -53,25 +60,11 @@ class WittTarget:
 
     virasoro: bool = False
 
+    def zero(self) -> WittElement:
+        return witt_zero()
 
-def _target_ops(target):
-    if isinstance(target, FreeTarget):
-        return FreeLieElement.zero(target.m), bracket
-    if isinstance(target, StructureConstantAlgebra):
-        return target.zero(), target.bracket
-    if isinstance(target, WittTarget):
-        return witt_zero(), lambda u, v: witt_bracket(u, v, target.virasoro)
-    raise TypeError(f"unsupported morphism target {target!r}")
-
-
-def _belongs(target, elem) -> bool:
-    if isinstance(target, FreeTarget):
-        return isinstance(elem, FreeLieElement) and elem.n == target.m
-    if isinstance(target, StructureConstantAlgebra):
-        return isinstance(elem, TargetElement) and elem.algebra is target
-    if isinstance(target, WittTarget):
-        return isinstance(elem, WittElement)
-    return False
+    def bracket(self, u: WittElement, v: WittElement) -> WittElement:
+        return witt_bracket(u, v, self.virasoro)
 
 
 class GeneratorMorphism:
@@ -81,14 +74,15 @@ class GeneratorMorphism:
     def __init__(self, n: int, target, images: Sequence):
         if len(images) != n:
             raise ValueError(f"expected {n} images, got {len(images)}")
-        zero, _ = _target_ops(target)  # validates the target kind
+        if not isinstance(target, (FreeTarget, StructureConstantAlgebra, WittTarget)):
+            raise TypeError(f"unsupported morphism target {target!r}")
+        zero = target.zero()
         for k, img in enumerate(images, start=1):
-            if not _belongs(target, img):
+            if not isinstance(img, Combination) or img._space() != zero._space():
                 raise ValueError(f"image of x_{k} does not live in the target")
         self.n = n
         self.target = target
         self.images = tuple(images)
-        self._zero = zero
 
     def evaluate(self, a: FreeLieElement):
         """Image of ``a``: each Lyndon word is replaced by its standard
@@ -97,7 +91,7 @@ class GeneratorMorphism:
             raise ValueError(
                 f"element uses {a.n} generators, morphism has {self.n}"
             )
-        _, br = _target_ops(self.target)
+        br = self.target.bracket
         memo: dict = {}
 
         def eval_word(w: tuple):
@@ -110,7 +104,7 @@ class GeneratorMorphism:
                 memo[w] = hit
             return hit
 
-        out = self._zero
+        out = self.target.zero()
         for w, c in a.terms.items():
             out = out + eval_word(tuple(w)) * c
         return out

@@ -14,11 +14,12 @@ so "covered" is never read as full generation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import Echelon, Subspace
+from .linalg import Combination, Subspace, accumulate
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 
@@ -80,11 +81,7 @@ class StructureConstantAlgebra:
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for l, coeff in self._pair(a, b).items():
                             for t, coeff2 in self._pair(l, c).items():
-                                s = acc.get(t, _ZERO) + coeff * coeff2
-                                if s:
-                                    acc[t] = s
-                                else:
-                                    acc.pop(t, None)
+                                accumulate(acc, t, coeff * coeff2)
                     if acc:
                         raise ValueError(
                             "Jacobi identity fails on basis triple "
@@ -126,88 +123,39 @@ class StructureConstantAlgebra:
         if u.algebra is not self or v.algebra is not self:
             raise ValueError("algebra mismatch in bracket")
         acc: dict = {}
-        for i, ci in u.coords.items():
-            for j, cj in v.coords.items():
+        for i, ci in u.terms.items():
+            for j, cj in v.terms.items():
                 cij = ci * cj
                 for k, coeff in self._pair(i, j).items():
-                    s = acc.get(k, _ZERO) + cij * coeff
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
+                    accumulate(acc, k, cij * coeff)
         return TargetElement(self, acc)
 
     def __repr__(self):
         return f"{self.name}(dim={self.dim})"
 
 
-_ZERO = GaussianRational(0)
-
-
-class TargetElement:
+class TargetElement(Combination):
     """An element of a StructureConstantAlgebra as a sparse coefficient vector."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra",)
 
-    def __init__(self, algebra: StructureConstantAlgebra, coords: Mapping):
+    def __init__(self, algebra: StructureConstantAlgebra, terms: Mapping):
         self.algebra = algebra
-        self.coords = {k: c for k, c in coords.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
+    def _space(self) -> StructureConstantAlgebra:
+        return self.algebra
 
-    def _require_same(self, other: "TargetElement"):
-        if not isinstance(other, TargetElement) or other.algebra is not self.algebra:
-            raise ValueError("algebra mismatch")
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TargetElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TargetElement(self.algebra, {k: -c for k, c in self.coords.items()})
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
-        return TargetElement(
-            self.algebra, {k: c * scalar for k, c in self.coords.items()}
-        )
-
-    __rmul__ = __mul__
+    def _like(self, terms: Mapping) -> "TargetElement":
+        """An element of the same algebra with the given coordinates."""
+        return TargetElement(self.algebra, terms)
 
     def bracket(self, other: "TargetElement") -> "TargetElement":
         return self.algebra.bracket(self, other)
 
-    def _vector(self) -> dict:
-        return self.coords
-
-    def _like(self, coords: Mapping) -> "TargetElement":
-        """An element of the same algebra with the given coordinates."""
-        return TargetElement(self.algebra, coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.coords.items())))
-
     def __repr__(self):
         return format_linear(
-            (self.algebra.labels[k], self.coords[k]) for k in sorted(self.coords)
+            (self.algebra.labels[k], self.terms[k]) for k in sorted(self.terms)
         )
 
 
@@ -307,7 +255,7 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "basis" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("basis"), list):
         raise ValueError('custom algebra JSON needs a "basis" list')
     labels = [str(x) for x in data["basis"]]
     index = {lab: k for k, lab in enumerate(labels)}
@@ -317,13 +265,22 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
             if key not in index:
                 raise ValueError(f"unknown basis label {key!r} in brackets")
             return index[key]
-        k = int(key)
-        if not 0 <= k < len(labels):
-            raise ValueError(f"basis index {k} out of range")
-        return k
+        if type(key) is not int or not 0 <= key < len(labels):
+            raise ValueError(f"basis index {key!r} out of range")
+        return key
 
+    entries = data.get("brackets", [])
+    if not isinstance(entries, list):
+        raise ValueError('"brackets" must be a list')
     brackets = {}
-    for entry in data.get("brackets", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"bracket entry {entry!r} is not an object")
+        for key in ("i", "j", "coords"):
+            if key not in entry:
+                raise ValueError(f"bracket entry {entry!r} has no {key!r}")
+        if not isinstance(entry["coords"], dict):
+            raise ValueError(f"bracket entry {entry!r}: coords must be an object")
         i = resolve(entry["i"])
         j = resolve(entry["j"])
         coords = {resolve(k): parse_scalar(v) for k, v in entry["coords"].items()}
@@ -345,14 +302,23 @@ def subalgebra_closure(
     if not gens:
         raise ValueError("need a nonempty generator list")
     space = Subspace(algebra.zero(), range(algebra.dim), gens)  # ValueError on mismatch
-    while True:
+    return _bracket_closure(space, gens, algebra.bracket)
+
+
+def _bracket_closure(space: Subspace, gens: Sequence, bracket, rounds=None) -> Subspace:
+    """Add the brackets of the basis against the generators and against
+    itself, round after round, until the span stops growing or ``rounds``
+    rounds (None: no limit) have run."""
+    while rounds is None or rounds > 0:
         before = space.dim
         current = space.basis_elements()
         for i, a in enumerate(current):
             for b in list(gens) + current[i + 1 :]:
-                space.add(algebra.bracket(a, b))
+                space.add(bracket(a, b))
         if space.dim == before:
-            return space
+            break
+        rounds = None if rounds is None else rounds - 1
+    return space
 
 
 def _bracket_span(
@@ -447,71 +413,34 @@ def analyze_image(
 # -- Witt / Virasoro ------------------------------------------------------------
 
 
-class WittElement:
-    """Finite-support element sum c_k e_k (+ central part in Virasoro mode)."""
+WITT_CENTRAL = math.inf  # term key of the central element c: after every index
 
-    __slots__ = ("terms", "central")
 
-    def __init__(self, terms: Mapping | None = None, central=None):
+class WittElement(Combination):
+    """Finite-support element sum c_k e_k (+ c times the central element in
+    Virasoro mode, under the key WITT_CENTRAL)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping | None = None):
         clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = c if isinstance(c, GaussianRational) else parse_scalar(c)
-                if c:
-                    clean[int(k)] = c
+        for k, c in (terms or {}).items():
+            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
+            if c:
+                clean[k if k == WITT_CENTRAL else int(k)] = c
         self.terms = clean
-        if central is None:
-            central = _ZERO
-        elif not isinstance(central, GaussianRational):
-            central = parse_scalar(central)
-        self.central = central
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms and not self.central
+    def _space(self) -> str:
+        return "witt"
 
-    def __add__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return WittElement(out, self.central + other.central)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WittElement(
-            {k: -c for k, c in self.terms.items()}, -self.central
-        )
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
-        return WittElement(
-            {k: c * scalar for k, c in self.terms.items()}, self.central * scalar
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        return self.terms == other.terms and self.central == other.central
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.central))
+    def _like(self, terms: Mapping) -> "WittElement":
+        return WittElement(terms)
 
     def __repr__(self):
-        pairs = [(f"e_{k}", self.terms[k]) for k in sorted(self.terms)]
-        if self.central:
-            pairs.append(("c", self.central))
-        return format_linear(pairs)
+        return format_linear(
+            ("c" if k == WITT_CENTRAL else f"e_{k}", self.terms[k])
+            for k in sorted(self.terms)
+        )
 
 
 def witt_e(k: int, coeff=1) -> WittElement:
@@ -519,7 +448,7 @@ def witt_e(k: int, coeff=1) -> WittElement:
 
 
 def witt_c(coeff=1) -> WittElement:
-    return WittElement(None, coeff)
+    return WittElement({WITT_CENTRAL: coeff})
 
 
 def witt_zero() -> WittElement:
@@ -534,30 +463,15 @@ def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> Witt
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
     The central element brackets to zero."""
     terms: dict = {}
-    central = _ZERO
     for n, cn in u.terms.items():
         for m, cm in v.terms.items():
-            if n == m:
+            if n == m or WITT_CENTRAL in (n, m):
                 continue
             c = cn * cm
-            s = terms.get(n + m, _ZERO) + c * (m - n)
-            if s:
-                terms[n + m] = s
-            else:
-                terms.pop(n + m, None)
+            accumulate(terms, n + m, c * (m - n))
             if virasoro and n + m == 0:
-                central = central + c * GaussianRational(m**3 - m) / _TWELVE
-    return WittElement(terms, central)
-
-
-_CENTRAL_COL = (1, 0)  # sorts after every index column (0, k)
-
-
-def _witt_columns(elem: WittElement) -> dict:
-    cols = {(0, k): c for k, c in elem.terms.items()}
-    if elem.central:
-        cols[_CENTRAL_COL] = elem.central
-    return cols
+                accumulate(terms, WITT_CENTRAL, c * GaussianRational(m**3 - m) / _TWELVE)
+    return WittElement(terms)
 
 
 @dataclass(frozen=True)
@@ -583,49 +497,35 @@ def generated_window(
     virasoro: bool = False,
 ) -> WindowReport:
     """Iterate brackets of the generators up to ``depth`` rounds (round 1 is
-    the generators themselves), row-reduce coordinates restricted to indices
-    |n| <= window, and report which e_n lie in the resulting span."""
+    the generators themselves), project the span onto the e_n with
+    |n| <= window and c, and report which e_n lie in the projection."""
     if depth < 1 or window < 1:
         raise ValueError("need depth >= 1 and window >= 1")
     if not gens:
         raise ValueError("need a nonempty generator list")
 
-    ech = Echelon()
-    basis: list = []
-    for g in gens:
-        if ech.insert(_witt_columns(g)):
-            basis.append(g)
-    for _ in range(depth - 1):
-        grew = False
-        current = list(basis)
-        for i, a in enumerate(current):
-            for b in list(gens) + current[i + 1 :]:
-                w = witt_bracket(a, b, virasoro)
-                if not w.is_zero and ech.insert(_witt_columns(w)):
-                    basis.append(w)
-                    grew = True
-        if not grew:
-            break
-
-    # restrict the span to the window columns and test each unit vector
-    window_ech = Echelon()
-    for elem in basis:
-        cols = {
-            col: c
-            for col, c in _witt_columns(elem).items()
-            if col == _CENTRAL_COL or abs(col[1]) <= window
-        }
-        window_ech.insert(cols)
-    covered = tuple(
-        k
-        for k in range(-window, window + 1)
-        if window_ech.contains({(0, k): GaussianRational(1)})
+    span = _bracket_closure(
+        Subspace(witt_zero(), (), gens),
+        gens,
+        lambda u, v: witt_bracket(u, v, virasoro),
+        depth - 1,
     )
-    central = window_ech.contains({_CENTRAL_COL: GaussianRational(1)})
+    # project the span onto e_{-window}..e_{window} and c, then test each
+    # unit vector
+    keys = (*range(-window, window + 1), WITT_CENTRAL)
+    window_keys = set(keys)
+    restricted = Subspace(
+        witt_zero(),
+        keys,
+        (
+            elem._like({k: c for k, c in elem.terms.items() if k in window_keys})
+            for elem in span.basis_elements()
+        ),
+    )
     return WindowReport(
         depth=depth,
         window=window,
-        covered=covered,
-        central_covered=central,
-        span_dim=ech.dim,
+        covered=tuple(k for k in keys[:-1] if restricted.contains(witt_e(k))),
+        central_covered=restricted.contains(witt_c()),
+        span_dim=span.dim,
     )

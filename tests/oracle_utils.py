@@ -123,6 +123,33 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+# -- Hilbert-series dimensions ------------------------------------------------------
+
+
+def hilbert_series_dims(n: int, max_degree: int) -> list:
+    """Weak dims of ym(n) in degrees 1..max_degree, read off the Hilbert
+    series H(t) = 1/(1 - n t + n t^3 - t^4) of U(ym(n)) (Connes and
+    Dubois-Violette) by PBW inversion: H = prod_d (1 - t^d)^(-c_d), so the
+    log-derivative t H'/H has coefficients b_k = sum over d | k of d c_d.
+    Integer arithmetic only; no brackets, no elimination."""
+    q = [1, -n, 0, n, -1]  # 1/H
+    h = [1] + [0] * max_degree  # h = 1/q, term by term
+    for k in range(1, max_degree + 1):
+        h[k] = -sum(q[j] * h[k - j] for j in range(1, min(k, 4) + 1))
+    # t H'/H = t (-q') / q = t (n - 3n t^2 + 4 t^3) H
+    tq = [0, n, 0, -3 * n, 4]
+    b = [
+        sum(tq[j] * h[k - j] for j in range(1, min(k, 4) + 1))
+        for k in range(max_degree + 1)
+    ]
+    dims = [0] * (max_degree + 1)
+    for k in range(1, max_degree + 1):
+        rest = b[k] - sum(d * dims[d] for d in range(1, k) if k % d == 0)
+        assert rest % k == 0
+        dims[k] = rest // k
+    return dims[1:]
+
+
 # -- random data ------------------------------------------------------------------
 
 

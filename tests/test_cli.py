@@ -1,8 +1,16 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ymalg.cli import main
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
 
@@ -177,6 +185,109 @@ class TestVerify:
         assert proc.returncode == 2
         assert "zero denominator" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n": 1, "target": "sl2", "images": 5}, '"images" must be a list'),
+            ({"n": None, "target": "sl2", "images": []}, '"n" must be a positive'),
+            (
+                {
+                    "n": 1,
+                    "target": {
+                        "custom": {
+                            "basis": ["x", "y"],
+                            "brackets": [{"i": "x", "j": "y", "coords": 3}],
+                        }
+                    },
+                    "images": [{"x": "1"}],
+                },
+                "coords must be an object",
+            ),
+            (
+                {
+                    "n": 1,
+                    "target": {
+                        "custom": {
+                            "basis": ["x", "y"],
+                            "brackets": [{"i": "x", "coords": {}}],
+                        }
+                    },
+                    "images": [{"x": "1"}],
+                },
+                "bracket entry {'i': 'x', 'coords': {}} has no 'j'",
+            ),
+            (
+                {
+                    "n": 1,
+                    "target": {"custom": {"basis": "xy", "brackets": []}},
+                    "images": [{"x": "1"}],
+                },
+                '"basis" list',
+            ),
+        ],
+        ids=["images-int", "n-null", "coords-int", "missing-j", "basis-string"],
+    )
+    def test_malformed_spec_is_input_error(self, spec_file, spec, message):
+        proc = run_cli("verify", spec_file("bad.json", spec))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+GOLDEN_SPECS = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+]
+SWAP_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.none(),
+    st.sampled_from(["", "x", "e", "c", "1/2", "sl2", "witt"]),
+    st.sampled_from([[], [1], ["x"], [{}]]),
+    st.sampled_from([{}, {"x": "1"}, {"e": 2}]),
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+class TestSpecFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_specs_keep_exit_contract(self, data):
+        # drop keys and swap values anywhere in a valid spec; the CLI must
+        # answer 0, 1 with a report, or 2, and never raise
+        spec = copy.deepcopy(data.draw(st.sampled_from(GOLDEN_SPECS)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            paths = list(_paths(spec))
+            if not paths:
+                break
+            prefix, key = data.draw(st.sampled_from(paths))
+            parent = spec
+            for k in prefix:
+                parent = parent[k]
+            if data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(data.draw(SWAP_VALUES))
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(spec))
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(["verify", str(path)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            report = json.loads(out.getvalue())
+            assert set(report) == {"command", "seed", "inputs_digest", "results"}
+            assert report["results"]["residuals_zero"] is False
 
 
 class TestCaseStudy:

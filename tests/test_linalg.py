@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from oracle_utils import fraction_rank, rand_scalar
+from ymalg.free_lie import FreeLieElement, lyndon_basis
 from ymalg.linalg import Echelon, Subspace, rank
 from ymalg.scalars import GaussianRational as GR
-from ymalg.targets import sl_algebra
+from ymalg.targets import (
+    WITT_CENTRAL,
+    WittElement,
+    heisenberg,
+    sl_algebra,
+    witt_e,
+)
 
 
 def sparse(row):
@@ -118,10 +128,60 @@ class TestSubspace:
         assert space.pivots == (0, 2)
         assert space.basis_elements() == [e, f]
 
-    def test_ignores_foreign_columns(self):
-        sl2 = sl_algebra(2)
-        e, h = sl2.basis_element("e"), sl2.basis_element("h")
-        # a subspace living on the e column only
-        space = Subspace(sl2.zero(), [0], [e + h])
-        assert space.basis_elements() == [e]
-        assert space.contains(e + h * 5)
+
+# -- the shared element arithmetic ---------------------------------------------
+
+scalars = st.builds(
+    lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.sampled_from((1, 2)),
+)
+
+
+def combinations(keys, build):
+    return st.dictionaries(st.sampled_from(keys), scalars, max_size=4).map(build)
+
+
+_F3 = [w for d in (1, 2, 3) for w in lyndon_basis(3, d)]
+ELEMENTS = {
+    "free_lie": combinations(_F3, lambda t: FreeLieElement(3, t)),
+    "target": combinations(range(3), sl_algebra(2).element),
+    "witt": combinations([*range(-3, 4), WITT_CENTRAL], WittElement),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vector_space_laws(kind, data):
+    a, b, c = (data.draw(ELEMENTS[kind]) for _ in range(3))
+    s, t = data.draw(scalars), data.draw(scalars)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a + -a).is_zero and (a - a).is_zero
+    assert a - b == a + (-b)
+    assert (a + b) * s == a * s + b * s
+    assert a * (s + t) == a * s + a * t
+    assert s * a == a * s
+    assert (a * 0).is_zero
+    x, y = (a + b) + c, c + (b + a)
+    assert x == y and hash(x) == hash(y)
+
+
+def test_mixed_ambients_raise_value_error():
+    sl2 = sl_algebra(2)
+    e = sl2.basis_element("e")
+    pairs = [
+        (witt_e(1), sl2.zero()),
+        (FreeLieElement.generator(2, 1), e),
+        (FreeLieElement.generator(2, 1), FreeLieElement.generator(3, 1)),
+        (e, heisenberg().basis_element("p")),
+        (witt_e(1), 1),
+    ]
+    for u, v in pairs:
+        with pytest.raises(ValueError):
+            u + v
+        with pytest.raises(ValueError):
+            u - v
+        assert u != v

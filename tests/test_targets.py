@@ -48,7 +48,7 @@ class TestSlAlgebra:
 
         def as_matrix(elem):
             M = [[Fraction(0)] * m for _ in range(m)]
-            for idx, c in elem.coords.items():
+            for idx, c in elem.terms.items():
                 assert c.im == 0
                 lab = alg.labels[idx]
                 if lab.startswith("E"):
@@ -274,6 +274,11 @@ class TestGeneratedWindow:
     def test_full_window_at_depth_eight(self):
         report = generated_window([witt_e(-2), witt_e(3)], depth=8, window=10)
         assert report.covers_window()
+
+    def test_window_projects_the_span(self):
+        # e_9 lies outside the window, so the span's projection holds e_1
+        report = generated_window([witt_e(1) + witt_e(9)], depth=1, window=2)
+        assert report.covered == (1,) and report.span_dim == 1
 
     def test_single_central_generator(self):
         report = generated_window([witt_e(0)], depth=5, window=3)

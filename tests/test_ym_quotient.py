@@ -1,6 +1,6 @@
 import pytest
 
-from oracle_utils import fraction_rank, tensor_of_element
+from oracle_utils import fraction_rank, hilbert_series_dims, tensor_of_element
 from ymalg.free_lie import (
     DegreeCapExceeded,
     FreeLieElement,
@@ -237,3 +237,10 @@ class TestTables:
         assert z.dim == 0
         assert z.contains(FreeLieElement.zero(3))
         assert not z.contains(bracket(*gens(3)[:2]))
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 10), (3, 7), (4, 6), (5, 5), (6, 5)])
+def test_weak_dims_match_hilbert_series(n, max_degree):
+    assert list(ym_graded_dims(n, max_degree).dims) == hilbert_series_dims(
+        n, max_degree
+    )
