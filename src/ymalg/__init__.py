@@ -75,7 +75,6 @@ from .ym_quotient import (
     YangMillsPresentation,
     dims_table,
     dims_table_csv,
-    dims_table_json,
     ideal_graded_component,
     ideal_membership_by_degree,
     is_zero_in_ym,

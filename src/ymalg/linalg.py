@@ -218,14 +218,11 @@ class Subspace:
     """The span of Combinations of one ambient space, kept as an Echelon.
 
     ``zero`` is the ambient zero element; elements enter through their
-    ``terms`` and the basis comes back through ``zero._like``.  ``columns``
-    lists the coordinate keys, ascending, for the dense ``rows`` and
-    ``pivots`` views.
+    ``terms`` and the basis comes back through ``zero._like``.
     """
 
-    def __init__(self, zero, columns: Iterable, elements: Iterable = ()):
+    def __init__(self, zero, elements: Iterable = ()):
         self.zero = zero
-        self.columns = tuple(columns)
         self._ech = Echelon()
         for elem in elements:
             self.add(elem)
@@ -246,14 +243,3 @@ class Subspace:
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot."""
         return [self.zero._like(row) for _, row in self._ech.reduced_basis()]
-
-    @property
-    def rows(self) -> tuple:
-        """Canonical RREF rows as dense tuples in column order."""
-        return tuple(map(tuple, self._ech.rref(self.columns)))
-
-    @property
-    def pivots(self) -> tuple:
-        """Position in ``columns`` of each row's pivot."""
-        index = {col: k for k, col in enumerate(self.columns)}
-        return tuple(index[p] for p, _ in self._ech.reduced_basis())

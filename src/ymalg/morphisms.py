@@ -428,9 +428,6 @@ def solvable_image_audit(samples: int, seed: int) -> AuditReport:
         raise ValueError("need samples >= 1")
     sl2 = sl_algebra(2)
     e, h, f = (sl2.basis_element(lab) for lab in ("e", "h", "f"))
-
-    example = analyze_sl2_morphism(solvable_non_nilpotent_example())
-
     candidates = [
         solvable_non_nilpotent_example(),
         GeneratorMorphism(3, sl2, [sl2.zero()] * 3),
@@ -458,21 +455,26 @@ def solvable_image_audit(samples: int, seed: int) -> AuditReport:
                 )
             candidates.append(phi)
 
-    residual_zero = 0
-    violations = []
-    for idx, phi in enumerate(candidates):
-        analysis = analyze_sl2_morphism(phi)
-        if not analysis.residuals_zero:
-            continue
-        residual_zero += 1
-        if not analysis.is_solvable:
-            violations.append(f"candidate {idx}: {phi!r}")
+    # only residual-zero candidates need their image analysed; candidate 0,
+    # the non-nilpotent example, is one of them
+    images = {
+        idx: analyze_image(sl2, phi.images)
+        for idx, phi in enumerate(candidates)
+        if phi.residuals_vanish()
+    }
+    example = images[0]
     return AuditReport(
         samples=samples,
         seed=seed,
         candidates=len(candidates),
-        residual_zero=residual_zero,
-        non_residual_zero=len(candidates) - residual_zero,
-        solvable_violations=tuple(violations),
-        non_nilpotent_example=example,
+        residual_zero=len(images),
+        non_residual_zero=len(candidates) - len(images),
+        solvable_violations=tuple(
+            f"candidate {idx}: {candidates[idx]!r}"
+            for idx, image in images.items()
+            if not image.is_solvable
+        ),
+        non_nilpotent_example=MorphismAnalysis(
+            True, example.image_dim, example.is_solvable, example.is_nilpotent
+        ),
     )

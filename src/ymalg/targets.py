@@ -167,30 +167,28 @@ def sl_algebra(m: int) -> StructureConstantAlgebra:
     """sl(m) with basis {E^{ij} : i != j} and {H_i = E^{ii} - E^{i+1,i+1}}.
 
     Brackets come from matrix commutators.  For m = 2 the classical basis
-    (e, h, f) is exposed instead, with [h,e] = 2e, [h,f] = -2f, [e,f] = h.
+    (e, h, f) = (E^{12}, H_1, E^{21}) is exposed instead, with [h,e] = 2e,
+    [h,f] = -2f, [e,f] = h.
     """
     if m < 2:
         raise ValueError("need m >= 2")
-
-    def mat_E(i, j):
-        return {(i, j): 1}
-
+    # (label, key): key (i, j) is E^{ij}, key i is H_i
     if m == 2:
-        labels = ("e", "h", "f")
-        mats = [mat_E(1, 2), {(1, 1): 1, (2, 2): -1}, mat_E(2, 1)]
+        basis = [("e", (1, 2)), ("h", 1), ("f", (2, 1))]
     else:
-        labels = []
-        mats = []
         sep = "" if m <= 9 else "_"
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i != j:
-                    labels.append(f"E{i}{sep}{j}")
-                    mats.append(mat_E(i, j))
-        for i in range(1, m):
-            labels.append(f"H{i}")
-            mats.append({(i, i): 1, (i + 1, i + 1): -1})
-        labels = tuple(labels)
+        basis = [
+            (f"E{i}{sep}{j}", (i, j))
+            for i in range(1, m + 1)
+            for j in range(1, m + 1)
+            if i != j
+        ]
+        basis += [(f"H{i}", i) for i in range(1, m)]
+    index = {key: k for k, (_, key) in enumerate(basis)}
+    mats = [
+        {key: 1} if isinstance(key, tuple) else {(key, key): 1, (key + 1, key + 1): -1}
+        for _, key in basis
+    ]
 
     def commutator(A, B):
         out = {}
@@ -203,29 +201,14 @@ def sl_algebra(m: int) -> StructureConstantAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def decompose(M):
-        # express a traceless matrix in the chosen basis
-        coords = {}
-        diag = [M.get((i, i), 0) for i in range(1, m + 1)]
-        if m == 2:
-            if M.get((1, 2), 0):
-                coords[0] = M[(1, 2)]
-            if diag[0]:
-                coords[1] = diag[0]
-            if M.get((2, 1), 0):
-                coords[2] = M[(2, 1)]
-        else:
-            pos = 0
-            for i in range(1, m + 1):
-                for j in range(1, m + 1):
-                    if i != j:
-                        if M.get((i, j), 0):
-                            coords[pos] = M[(i, j)]
-                        pos += 1
-            run = 0
-            for i in range(m - 1):
-                run += diag[i]
-                if run:
-                    coords[pos + i] = run
+        # a traceless matrix in the basis: E^{ij} takes the (i, j) entry and
+        # H_i the running sum of the diagonal
+        coords = {index[(i, j)]: x for (i, j), x in M.items() if i != j}
+        run = 0
+        for i in range(1, m):
+            run += M.get((i, i), 0)
+            if run:
+                coords[index[i]] = run
         return {k: GaussianRational(v) for k, v in coords.items()}
 
     brackets = {}
@@ -234,6 +217,7 @@ def sl_algebra(m: int) -> StructureConstantAlgebra:
             coords = decompose(commutator(mats[i], mats[j]))
             if coords:
                 brackets[(i, j)] = coords
+    labels = tuple(label for label, _ in basis)
     return StructureConstantAlgebra(labels, brackets, name=f"sl({m})")
 
 
@@ -294,27 +278,33 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
 def subalgebra_closure(
     algebra: StructureConstantAlgebra, gens: Sequence[TargetElement]
 ) -> Subspace:
-    """Smallest bracket-closed subspace containing the generators.
-
-    Iterates brackets of the current basis rows against the generators and
-    against the current rows until the dimension stabilizes.
-    """
+    """Smallest bracket-closed subspace containing the generators (zero
+    generators allowed; all-zero generators close to the zero subspace)."""
     if not gens:
         raise ValueError("need a nonempty generator list")
-    space = Subspace(algebra.zero(), range(algebra.dim), gens)  # ValueError on mismatch
-    return _bracket_closure(space, gens, algebra.bracket)
+    space = Subspace(algebra.zero(), gens)  # ValueError on mismatch
+    return _bracket_closure(space, algebra.bracket)
 
 
-def _bracket_closure(space: Subspace, gens: Sequence, bracket, rounds=None) -> Subspace:
-    """Add the brackets of the basis against the generators and against
-    itself, round after round, until the span stops growing or ``rounds``
-    rounds (None: no limit) have run."""
+def _bracket_closure(space: Subspace, bracket, rounds=None) -> Subspace:
+    """Add [S, S] to the span S, round after round, until it stops growing
+    or ``rounds`` rounds (None: no limit) have run.
+
+    A round brackets only the reduced-basis elements whose pivot is new
+    since the last round, against the older elements and the later new ones.
+    That gives the same span: an old element differs from its predecessor
+    in the previous basis by a combination of new ones, and the brackets of
+    the previous basis are already in the span."""
+    seen: set = set()  # pivots bracketed in earlier rounds
     while rounds is None or rounds > 0:
         before = space.dim
-        current = space.basis_elements()
-        for i, a in enumerate(current):
-            for b in list(gens) + current[i + 1 :]:
+        basis = space.basis_elements()
+        old = [b for b in basis if min(b.terms) in seen]
+        new = [b for b in basis if min(b.terms) not in seen]
+        for i, a in enumerate(new):
+            for b in old + new[i + 1 :]:
                 space.add(bracket(a, b))
+        seen.update(min(b.terms) for b in new)
         if space.dim == before:
             break
         rounds = None if rounds is None else rounds - 1
@@ -324,9 +314,11 @@ def _bracket_closure(space: Subspace, gens: Sequence, bracket, rounds=None) -> S
 def _bracket_span(
     algebra: StructureConstantAlgebra, A: Subspace, B: Subspace
 ) -> Subspace:
-    span = Subspace(algebra.zero(), range(algebra.dim))
-    for a in A.basis_elements():
-        for b in B.basis_elements():
+    """[A, B] as a Subspace; [A, A] brackets each pair of basis elements once."""
+    left = A.basis_elements()
+    span = Subspace(algebra.zero())
+    for i, a in enumerate(left):
+        for b in left[i + 1 :] if B is A else B.basis_elements():
             span.add(algebra.bracket(a, b))
     return span
 
@@ -353,33 +345,28 @@ def series_analysis(
     algebra: StructureConstantAlgebra, space: Subspace
 ) -> SeriesReport:
     """Derived series S, [S,S], ... and lower central series until they
-    stabilize; solvable (resp. nilpotent) iff the series reaches zero."""
+    stabilize; solvable (resp. nilpotent) iff the series reaches zero.
+    [S, S] is computed once: it witnesses that S is bracket-closed and
+    starts both series."""
     algebra.zero()._require_same(space.zero)  # ValueError on algebra mismatch
-    elems = space.basis_elements()
-    if not all(
-        space.contains(algebra.bracket(a, b))
-        for i, a in enumerate(elems)
-        for b in elems[i + 1 :]
-    ):
+    square = _bracket_span(algebra, space, space)
+    if not all(space.contains(x) for x in square.basis_elements()):
         raise ValueError("subspace is not bracket-closed")
 
-    derived = [space]
-    while derived[-1].dim:
-        nxt = _bracket_span(algebra, derived[-1], derived[-1])
-        if nxt.dim == derived[-1].dim:
-            break
-        derived.append(nxt)
+    def descend(step) -> tuple:
+        series, nxt = [space], square
+        while nxt.dim < series[-1].dim:
+            series.append(nxt)
+            if not nxt.dim:
+                break
+            nxt = step(nxt)
+        return tuple(series)
 
-    lower = [space]
-    while lower[-1].dim:
-        nxt = _bracket_span(algebra, space, lower[-1])
-        if nxt.dim == lower[-1].dim:
-            break
-        lower.append(nxt)
-
+    derived = descend(lambda s: _bracket_span(algebra, s, s))
+    lower = descend(lambda s: _bracket_span(algebra, space, s))
     return SeriesReport(
-        derived_series=tuple(derived),
-        lower_central_series=tuple(lower),
+        derived_series=derived,
+        lower_central_series=lower,
         is_solvable=derived[-1].dim == 0,
         is_nilpotent=lower[-1].dim == 0,
     )
@@ -400,10 +387,7 @@ def analyze_image(
 ) -> ImageAnalysis:
     """Closure and series of the subalgebra generated by ``images`` (zero
     images allowed; all-zero images generate the zero subalgebra)."""
-    nonzero = [img for img in images if not img.is_zero]
-    if not nonzero:
-        return ImageAnalysis(0, True, True, algebra.dim == 0)
-    space = subalgebra_closure(algebra, nonzero)
+    space = subalgebra_closure(algebra, images)
     series = series_analysis(algebra, space)
     return ImageAnalysis(
         space.dim, series.is_solvable, series.is_nilpotent, space.dim == algebra.dim
@@ -505,8 +489,7 @@ def generated_window(
         raise ValueError("need a nonempty generator list")
 
     span = _bracket_closure(
-        Subspace(witt_zero(), (), gens),
-        gens,
+        Subspace(witt_zero(), gens),
         lambda u, v: witt_bracket(u, v, virasoro),
         depth - 1,
     )
@@ -516,7 +499,6 @@ def generated_window(
     window_keys = set(keys)
     restricted = Subspace(
         witt_zero(),
-        keys,
         (
             elem._like({k: c for k, c in elem.terms.items() if k in window_keys})
             for elem in span.basis_elements()

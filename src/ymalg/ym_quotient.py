@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +23,6 @@ from .free_lie import (
     _check_cap,
     bracket,
     free_lie_dim,
-    lyndon_basis,
 )
 from .linalg import Subspace
 
@@ -90,7 +88,7 @@ def strong_relation_elements(n: int) -> list:
 @lru_cache(maxsize=None)
 def _ideal_component(pres: YangMillsPresentation, d: int) -> Subspace:
     n = pres.n
-    space = Subspace(FreeLieElement.zero(n), lyndon_basis(n, d))
+    space = Subspace(FreeLieElement.zero(n))
     if d == 3:
         for r in pres.relators:
             if not r.is_zero:
@@ -107,7 +105,7 @@ def ideal_graded_component(
     pres: YangMillsPresentation, d: int, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Subspace:
     """Degree-d component of the two-sided Lie ideal generated by the
-    relators, as a Subspace on lyndon_basis(n, d), computed by iterated
+    relators, as a Subspace of f(n)_d, computed by iterated
     bracketing with the generators followed by exact row reduction.  Degrees
     below 3 give the zero subspace.  The result is cached and shared: do not
     add to it."""
@@ -214,9 +212,3 @@ def dims_table_csv(rows: list) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def dims_table_json(n: int, strong: bool, rows: list) -> str:
-    return json.dumps(
-        {"n": n, "strong": strong, "table": rows}, sort_keys=True, indent=2
-    )

@@ -100,9 +100,15 @@ def tensor_commutator(A: dict, B: dict) -> dict:
 def fraction_rank(rows) -> int:
     """Division-based Gaussian elimination over Q(i); independent of the
     fraction-free engine in ymalg.linalg."""
+    return len(fraction_rref(rows))
+
+
+def fraction_rref(rows) -> list:
+    """The nonzero rows of the reduced row echelon form, by the same
+    division-based elimination."""
     mat = [list(row) for row in rows]
     if not mat:
-        return 0
+        return []
     ncols = len(mat[0])
     rank = 0
     col = 0
@@ -120,7 +126,96 @@ def fraction_rank(rows) -> int:
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
-    return rank
+    return mat[:rank]
+
+
+# -- bracket closure over Fraction pairs ----------------------------------------------
+#
+# Vectors are {key: (re, im)} dicts of Fractions.  A closure round brackets
+# every pair of the current basis; the span is re-reduced by fraction_rref
+# after each round.  Nothing here calls ymalg.targets or ymalg.linalg.
+
+
+def _cmul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd_into(acc: dict, key, x: tuple) -> None:
+    re, im = acc.get(key, (0, 0))
+    re, im = re + x[0], im + x[1]
+    if re or im:
+        acc[key] = (Fraction(re), Fraction(im))
+    else:
+        acc.pop(key, None)
+
+
+def oracle_witt_bracket(u: dict, v: dict, virasoro: bool) -> dict:
+    """[e_n, e_m] = (m - n) e_{m+n} + delta_{m+n,0} (m^3 - m)/12 c, with the
+    central element under the key "c"."""
+    out: dict = {}
+    for n, x in u.items():
+        for m, y in v.items():
+            if "c" in (n, m):
+                continue
+            xy = _cmul(x, y)
+            _cadd_into(out, n + m, _cmul(xy, (Fraction(m - n), Fraction(0))))
+            if virasoro and n + m == 0:
+                _cadd_into(out, "c", _cmul(xy, (Fraction(m**3 - m, 12), Fraction(0))))
+    return out
+
+
+def oracle_sl_matrix(coords: dict) -> dict:
+    """The matrix {(i, j): (re, im)} of sum c * label over {label: (re, im)},
+    with sl(m) labels "Eij" (or "Ei_j"), "Hi" = E_ii - E_{i+1,i+1}, and
+    e, h, f for sl(2)."""
+    out: dict = {}
+    for label, c in coords.items():
+        label = {"e": "E12", "h": "H1", "f": "E21"}.get(label, label)
+        if label.startswith("H"):
+            i = int(label[1:])
+            _cadd_into(out, (i, i), c)
+            _cadd_into(out, (i + 1, i + 1), (-c[0], -c[1]))
+        else:
+            i, j = label[1:].split("_") if "_" in label else (label[1], label[2:])
+            _cadd_into(out, (int(i), int(j)), c)
+    return out
+
+
+def oracle_matrix_bracket(A: dict, B: dict) -> dict:
+    out: dict = {}
+    for (a, b), x in A.items():
+        for (c, d), y in B.items():
+            if b == c:
+                _cadd_into(out, (a, d), _cmul(x, y))
+            if d == a:
+                _cadd_into(out, (c, b), _cmul((-x[0], -x[1]), y))
+    return out
+
+
+def _oracle_basis(vectors: list) -> list:
+    keys = sorted({k for v in vectors for k in v}, key=repr)
+    zero = (Fraction(0), Fraction(0))
+    rows = [[GaussianRational(*v.get(k, zero)) for k in keys] for v in vectors]
+    return [
+        {k: (c.re, c.im) for k, c in zip(keys, row) if c}
+        for row in fraction_rref(rows)
+    ]
+
+
+def oracle_closure_dim(gens: list, bracket, rounds=None) -> int:
+    """Dimension of the span of ``gens`` after ``rounds`` all-pairs bracket
+    rounds (None: until the span stops growing)."""
+    basis = _oracle_basis(gens)
+    while rounds is None or rounds > 0:
+        brackets = [
+            bracket(a, b) for i, a in enumerate(basis) for b in basis[i + 1 :]
+        ]
+        grown = _oracle_basis(basis + brackets)
+        if len(grown) == len(basis):
+            break
+        basis = grown
+        rounds = None if rounds is None else rounds - 1
+    return len(basis)
 
 
 # -- Hilbert-series dimensions ------------------------------------------------------

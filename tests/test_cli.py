@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ymalg.cli import main
+from ymalg.cli import MAX_SL_SIZE, main
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
 
@@ -378,6 +378,15 @@ class TestPair:
         assert proc.returncode == 0
         default = run_cli("pair", "--target", "witt")
         assert results_of(proc) == results_of(default)
+
+    def test_sl_size_is_capped(self):
+        # refused before anything is built: building sl(999) would take days
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["pair", "--target", "sl999", "--a", "E12", "--b", "E21"])
+        assert code == 2 and out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ") and f"<= {MAX_SL_SIZE}" in line
 
     def test_missing_generators_for_finite_target(self):
         proc = run_cli("pair", "--target", "sl2")

@@ -48,6 +48,14 @@ COMMANDS = {
     "pair_witt_flag": [
         "pair", "--target", "witt", "--virasoro", "--depth", "5", "--window", "5",
     ],
+    "pair_witt_two_term": [
+        "pair", "--target", "witt", "--a", "e_1+e_9", "--b", "e_-3",
+        "--depth", "6", "--window", "8",
+    ],
+    "pair_virasoro_two_term": [
+        "pair", "--target", "virasoro", "--a", "e_1+e_9", "--b", "e_-3",
+        "--depth", "6", "--window", "8",
+    ],
     "verify_yu_strong": ["verify", "specs/yu_sl3.json", "--strong"],
     "verify_custom": ["verify", "specs/heisenberg_custom.json"],
     "verify_virasoro": [

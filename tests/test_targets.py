@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import rand_scalar
+from oracle_utils import (
+    oracle_closure_dim,
+    oracle_matrix_bracket,
+    oracle_witt_bracket,
+    oracle_sl_matrix,
+    rand_scalar,
+)
 from ymalg.linalg import Subspace
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
@@ -41,16 +47,17 @@ class TestSlAlgebra:
         assert sl3.bracket(E["E12"], E["E23"]) == E["E13"]
         assert sl3.bracket(E["E12"], E["E13"]).is_zero
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_against_matrix_commutators(self, m):
         # independent oracle: evaluate both sides as honest m x m matrices
         alg = sl_algebra(m)
+        sl2_names = {"e": "E12", "h": "H1", "f": "E21"}
 
         def as_matrix(elem):
             M = [[Fraction(0)] * m for _ in range(m)]
             for idx, c in elem.terms.items():
                 assert c.im == 0
-                lab = alg.labels[idx]
+                lab = sl2_names.get(alg.labels[idx], alg.labels[idx])
                 if lab.startswith("E"):
                     i, j = int(lab[1]), int(lab[2])
                     M[i - 1][j - 1] += c.re
@@ -192,7 +199,7 @@ class TestClosure:
         sl2, e, h, f = sl2_elems()
         once = subalgebra_closure(sl2, [e, h])
         again = subalgebra_closure(sl2, once.basis_elements())
-        assert once.rows == again.rows
+        assert once.basis_elements() == again.basis_elements()
         bigger = subalgebra_closure(sl2, [e, h, f])
         for elem in once.basis_elements():
             assert bigger.contains(elem)
@@ -217,7 +224,7 @@ class TestSeries:
 
     def test_requires_bracket_closed(self):
         sl2, e, h, f = sl2_elems()
-        not_closed = Subspace(sl2.zero(), range(sl2.dim), [e, f])
+        not_closed = Subspace(sl2.zero(), [e, f])
         with pytest.raises(ValueError, match="bracket-closed"):
             series_analysis(sl2, not_closed)
 
@@ -305,6 +312,49 @@ class TestGeneratedWindow:
             generated_window([], 2, 2)
         with pytest.raises(ValueError):
             generated_window([witt_e(1)], 0, 2)
+
+
+def _pairs(terms: dict) -> dict:
+    return {k: (c.re, c.im) for k, c in terms.items()}
+
+
+class TestClosureOracle:
+    """Closure dimensions against the all-pairs closure in oracle_utils."""
+
+    WITT_GENS = [
+        ({1: 1, 9: 1}, {-3: 1}),
+        ({-2: 1}, {3: 1}),
+        ({2: 1, -1: GR(0, 1)}, {3: 1}),
+        ({0: 1, 1: 2}, {-1: 1}),
+    ]
+
+    @pytest.mark.parametrize("virasoro", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gens", WITT_GENS)
+    def test_window_span_dim(self, gens, depth, virasoro):
+        gens = [WittElement(g) for g in gens]
+        report = generated_window(gens, depth=depth, window=3, virasoro=virasoro)
+        assert report.span_dim == oracle_closure_dim(
+            [_pairs(g.terms) for g in gens],
+            lambda u, v: oracle_witt_bracket(u, v, virasoro),
+            depth - 1,
+        )
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_subalgebra_closure_dim(self, m):
+        alg = sl_algebra(m)
+        rng = random.Random(m)
+        for _ in range(12):
+            coords = [
+                {lab: rand_scalar(rng, 2) for lab in rng.sample(alg.labels, k)}
+                for k in (rng.randint(1, 2), rng.randint(1, 3))
+            ]
+            gens = [alg.element(c) for c in coords if any(c.values())]
+            if not gens:
+                continue
+            assert subalgebra_closure(alg, gens).dim == oracle_closure_dim(
+                [oracle_sl_matrix(_pairs(c)) for c in coords], oracle_matrix_bracket
+            )
 
 
 class TestCustomAlgebraJson:
