@@ -79,6 +79,13 @@ def resolve_target(name: str):
     )
 
 
+def _message(exc: Exception) -> str:
+    """The text of an error; ``str(KeyError)`` would wrap it in quotes."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def _basis_by_name(target, name: str):
     if isinstance(target, WittTarget):
         m = _WITT_LABEL.match(name)
@@ -91,7 +98,7 @@ def _basis_by_name(target, name: str):
     try:
         return target.basis_element(label)
     except KeyError as exc:
-        raise CliInputError(str(exc)) from None
+        raise CliInputError(_message(exc)) from None
 
 
 def parse_element(target, text: str):
@@ -181,7 +188,7 @@ def load_morphism_spec(path: str) -> GeneratorMorphism:
             try:
                 img = target.element(entry)
             except (KeyError, ValueError) as exc:
-                raise CliInputError(f"bad image: {exc}") from None
+                raise CliInputError(f"bad image: {_message(exc)}") from None
         images.append(img)
     try:
         return GeneratorMorphism(n, target, images)
@@ -448,7 +455,7 @@ def main(argv=None) -> int:
         report, code = _RUNNERS[args.command](args, echo)
     except (ValueError, KeyError, OSError) as exc:
         # CliInputError, DegreeCapExceeded and malformed inputs all land here
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
     elapsed = (time.perf_counter() - start) * 1000.0
     if report is not None:

@@ -17,25 +17,22 @@ Subspaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _from_ints
 
 
 def _to_int_row(vec: Mapping) -> dict:
     """Clear denominators: {col: GaussianRational} -> {col: (a, b)} over Z[i]."""
     lcm = 1
     for c in vec.values():
-        for den in (c.re.denominator, c.im.denominator):
-            lcm = lcm * den // gcd(lcm, den)
+        lcm = lcm * c._d // gcd(lcm, c._d)
     row = {}
     for col, c in vec.items():
-        a = int(c.re * lcm)
-        b = int(c.im * lcm)
-        if a or b:
-            row[col] = (a, b)
+        if c._a or c._b:
+            k = lcm // c._d
+            row[col] = (c._a * k, c._b * k)
     return _content_reduce(row)
 
 
@@ -78,9 +75,7 @@ def _normalize(row: dict, pivot) -> dict:
     c, d = row[pivot]
     norm = c * c + d * d
     return {
-        col: GaussianRational(
-            Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm)
-        )
+        col: _from_ints(a * c + b * d, b * c - a * d, norm)
         for col, (a, b) in row.items()
     }
 

@@ -83,6 +83,9 @@ class GeneratorMorphism:
         self.n = n
         self.target = target
         self.images = tuple(images)
+        # Lyndon word -> image, shared by the evaluations of one
+        # relation_residuals call and dropped after it
+        self._shared_words = None
 
     def evaluate(self, a: FreeLieElement):
         """Image of ``a``: each Lyndon word is replaced by its standard
@@ -92,7 +95,7 @@ class GeneratorMorphism:
                 f"element uses {a.n} generators, morphism has {self.n}"
             )
         br = self.target.bracket
-        memo: dict = {}
+        memo = {} if self._shared_words is None else self._shared_words
 
         def eval_word(w: tuple):
             if len(w) == 1:
@@ -120,7 +123,12 @@ class GeneratorMorphism:
             elements = [elem for _, elem in strong_relation_elements(self.n)]
         else:
             elements = list(ym_relations(self.n).relators)
-        return [self.evaluate(r) for r in elements]
+        # the relators have low-degree words in common: bracket each once
+        self._shared_words = {}
+        try:
+            return [self.evaluate(r) for r in elements]
+        finally:
+            self._shared_words = None
 
     def residuals_vanish(self, strong: bool = False) -> bool:
         return all(r.is_zero for r in self.relation_residuals(strong))

@@ -1,9 +1,11 @@
 """The scalar field Q(i): Gaussian rationals with exact arithmetic.
 
-Every coefficient in this package is a :class:`GaussianRational`.  Values are
-immutable and normalized on construction (lowest terms, positive denominator,
-both guaranteed by ``fractions.Fraction``), so equality and hashing are
-structural.
+Every coefficient in this package is a :class:`GaussianRational`, stored as
+three ints ``(a + b*i) / d``.  Values are immutable and normalized on
+construction: ``d > 0``, ``gcd(a, b, d) == 1``, and zero is ``(0, 0, 1)``.
+So equality is structural, and each operation costs its integer products
+plus one ``math.gcd``.  A value with ``b == 0`` hashes like the rational
+``a/d``, so it keys a dict the same way as the equal ``int`` or ``Fraction``.
 
 Text grammar, used by the CLI and all JSON payloads: a rational renders as
 ``a/b`` with ``/b`` omitted when the denominator is 1; a nonzero imaginary
@@ -15,66 +17,98 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 
 class GaussianRational:
-    """An element ``re + im*i`` of Q(i) with arbitrary-precision rational parts."""
+    """An element ``(a + b*i) / d`` of Q(i) with arbitrary-precision ints.
 
-    __slots__ = ("re", "im")
+    The constructor takes the real and imaginary parts as ``int``s or
+    ``Fraction``s (or anything ``Fraction`` accepts); ``re`` and ``im`` read
+    them back as ``Fraction``s.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # parts in lowest terms over their lcm already have gcd(a, b, d) == 1
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, int):
+                return _from_ints(self._a + other * self._d, self._b, self._d)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _from_ints(self._a + other._a, self._b + other._b, d)
+        return _from_ints(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, int):
+                return _from_ints(self._a - other * self._d, self._b, self._d)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _from_ints(self._a - other._a, self._b - other._b, d)
+        return _from_ints(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _from_ints(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            if isinstance(other, int):
+                return _from_ints(self._a * other, self._b * other, self._d)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _from_ints(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # x / y = x * conj(y) / |y|^2, with y = (c + e*i)/f
+        c, e, f = other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self._a * f, self._b * f
+        return _from_ints(a * c + b * e, b * c - a * e, self._d * norm)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -85,16 +119,20 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        # the hash of the equal int or Fraction
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self) -> bool:
@@ -102,10 +140,10 @@ class GaussianRational:
 
     def is_rational_integer(self) -> bool:
         """True when the value lies in Z (no imaginary part, denominator 1)."""
-        return self.im == 0 and self.re.denominator == 1
+        return self._b == 0 and self._d == 1
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _from_ints(self._a, -self._b, self._d)
 
     # -- text ---------------------------------------------------------------
 
@@ -129,6 +167,24 @@ class GaussianRational:
     @staticmethod
     def parse(text: str) -> "GaussianRational":
         return parse_scalar(text)
+
+
+_new = object.__new__
+
+
+def _from_ints(a: int, b: int, d: int) -> GaussianRational:
+    """The normalized value ``(a + b*i) / d`` for ``d > 0``: one gcd, and no
+    ``__init__``.  Every arithmetic result is built here."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
 
 def _coerce(value):

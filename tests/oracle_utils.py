@@ -129,15 +129,45 @@ def fraction_rref(rows) -> list:
     return mat[:rank]
 
 
+# -- Gaussian rationals as (Fraction, Fraction) pairs ---------------------------------
+#
+# The scalar oracle: (re, im) pairs of Fractions, with the scalar text grammar
+# rendered from them.  Nothing here reads GaussianRational's stored ints.
+
+
+def pair_add(x: tuple, y: tuple) -> tuple:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x: tuple, y: tuple) -> tuple:
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def pair_mul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_div(x: tuple, y: tuple) -> tuple:
+    norm = y[0] * y[0] + y[1] * y[1]
+    return pair_mul(x, (y[0] / norm, -y[1] / norm))
+
+
+def pair_str(x: tuple) -> str:
+    """"3/2", "-1+2i", "i", "-3/4i", "0": the real part if nonzero, then a
+    signed imaginary part with a unit coefficient left out."""
+    re, im = x
+    if not im:
+        return str(re)
+    body = ("" if abs(im) == 1 else str(abs(im))) + "i"
+    sign = "-" if im < 0 else "+" if re else ""
+    return (str(re) if re else "") + sign + body
+
+
 # -- bracket closure over Fraction pairs ----------------------------------------------
 #
 # Vectors are {key: (re, im)} dicts of Fractions.  A closure round brackets
 # every pair of the current basis; the span is re-reduced by fraction_rref
 # after each round.  Nothing here calls ymalg.targets or ymalg.linalg.
-
-
-def _cmul(x: tuple, y: tuple) -> tuple:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
 def _cadd_into(acc: dict, key, x: tuple) -> None:
@@ -157,10 +187,11 @@ def oracle_witt_bracket(u: dict, v: dict, virasoro: bool) -> dict:
         for m, y in v.items():
             if "c" in (n, m):
                 continue
-            xy = _cmul(x, y)
-            _cadd_into(out, n + m, _cmul(xy, (Fraction(m - n), Fraction(0))))
+            xy = pair_mul(x, y)
+            _cadd_into(out, n + m, pair_mul(xy, (Fraction(m - n), Fraction(0))))
             if virasoro and n + m == 0:
-                _cadd_into(out, "c", _cmul(xy, (Fraction(m**3 - m, 12), Fraction(0))))
+                central = (Fraction(m**3 - m, 12), Fraction(0))
+                _cadd_into(out, "c", pair_mul(xy, central))
     return out
 
 
@@ -186,9 +217,9 @@ def oracle_matrix_bracket(A: dict, B: dict) -> dict:
     for (a, b), x in A.items():
         for (c, d), y in B.items():
             if b == c:
-                _cadd_into(out, (a, d), _cmul(x, y))
+                _cadd_into(out, (a, d), pair_mul(x, y))
             if d == a:
-                _cadd_into(out, (c, b), _cmul((-x[0], -x[1]), y))
+                _cadd_into(out, (c, b), pair_mul((-x[0], -x[1]), y))
     return out
 
 

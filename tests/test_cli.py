@@ -396,6 +396,58 @@ class TestPair:
         proc = run_cli("pair", "--target", "sl2", "--a", "w", "--b", "f")
         assert proc.returncode == 2
 
+    def test_unknown_label_message_is_unquoted(self, spec_file):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["pair", "--target", "sl2", "--a=2**e", "--b", "f"])
+        assert code == 2
+        assert err.getvalue() == (
+            "error: unknown basis label '*e' in sl(2) (has e, h, f)\n"
+        )
+        path = spec_file(
+            "bad.json", {"n": 1, "target": "sl2", "images": [{"q": "1"}]}
+        )
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["verify", path])
+        assert code == 2
+        assert err.getvalue() == (
+            "error: bad image: unknown basis label 'q' in sl(2) (has e, h, f)\n"
+        )
+
+
+# pieces of the scalar and element grammar, valid and not
+ELEMENT_FRAGMENTS = st.sampled_from(
+    ["+", "-", "*", "/0", "/2", "(", ")", "i", "1", "3", "0", " ", "_", "^",
+     "e", "h", "f", "E12", "E2_1", "H1", "e_-2", "e_3", "e_0", "c", "x", "E9"]
+)
+ELEMENT_STRINGS = st.lists(ELEMENT_FRAGMENTS, max_size=7).map("".join)
+
+
+class TestElementFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.sampled_from(["sl2", "sl(3)", "witt"]),
+        a=ELEMENT_STRINGS,
+        b=ELEMENT_STRINGS,
+    )
+    def test_element_strings_keep_exit_contract(self, target, a, b):
+        # any --a/--b text gets 0, 1 with a report, or 2 with one error line
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["pair", "--target", target, f"--a={a}", f"--b={b}",
+                "--depth", "2", "--window", "3"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+        else:
+            report = json.loads(out.getvalue())
+            assert set(report) == {"command", "seed", "inputs_digest", "results"}
+            assert report["results"]["residuals_zero"] is (code == 0)
+
 
 class TestRealization:
     def test_affine_a1(self, tmp_path):

@@ -23,7 +23,12 @@ from ymalg.morphisms import (
     yu_morphism,
 )
 from ymalg.scalars import GaussianRational as GR, I, ONE
-from ymalg.targets import sl_algebra, subalgebra_closure, witt_e
+from ymalg.targets import (
+    StructureConstantAlgebra,
+    sl_algebra,
+    subalgebra_closure,
+    witt_e,
+)
 from ymalg.ym_quotient import is_zero_in_ym, ym_relations
 
 ZERO2 = (GR(0), GR(0))
@@ -77,6 +82,33 @@ class TestEvaluate:
             assert phi.evaluate(bracket(a, b)) == bracket(
                 phi.evaluate(a), phi.evaluate(b)
             )
+
+    def test_relators_share_word_images(self, monkeypatch):
+        # the three weak relators of ym(3) use 9 distinct Lyndon words of
+        # degrees 2 and 3 between them; each is bracketed once
+        sl2 = sl_algebra(2)
+        rng = random.Random(33)
+        e, h, f = (sl2.basis_element(k) for k in "ehf")
+        images = [
+            e * rand_scalar(rng) + h * rand_scalar(rng) + f * rand_scalar(rng)
+            for _ in range(3)
+        ]
+        # one morphism per relator: nothing is shared
+        separate = [
+            GeneratorMorphism(3, sl2, images).evaluate(r)
+            for r in ym_relations(3).relators
+        ]
+        assert not all(r.is_zero for r in separate)
+        calls = []
+        original = StructureConstantAlgebra.bracket
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(StructureConstantAlgebra, "bracket", counted)
+        assert GeneratorMorphism(3, sl2, images).relation_residuals() == separate
+        assert len(calls) == 9
 
     def test_image_arity_checked(self):
         sl2 = sl_algebra(2)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_utils import pair_add, pair_div, pair_mul, pair_str, pair_sub
 from ymalg.scalars import GaussianRational, format_linear, parse_scalar
 
 small_fractions = st.fractions(
@@ -55,6 +57,11 @@ def test_arithmetic():
     assert 2 * a == a * 2
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            bad - a
+        with pytest.raises(TypeError):
+            a * bad
 
 
 def test_normalization_invariants():
@@ -69,10 +76,8 @@ def test_normalization_invariants():
             Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
         )
         for c in (a + b, a * b, a - b):
-            # Fraction keeps lowest terms with positive denominator
+            # re and im come back in lowest terms with positive denominators
             assert c.re.denominator > 0 and c.im.denominator > 0
-            from math import gcd
-
             assert gcd(abs(c.re.numerator), c.re.denominator) == 1
             assert gcd(abs(c.im.numerator), c.im.denominator) == 1
         # structural equality and hashing agree
@@ -128,3 +133,85 @@ def test_free_lie_and_target_reprs_share_the_formatter():
     target = t[0] * coeffs[0] + t[1] * coeffs[1] + t[2] * coeffs[2]
     assert repr(free) == "-⟨1⟩ + (1+i)·⟨2⟩ - 2/3·⟨3⟩"
     assert repr(target) == "-e + (1+i)*h - 2/3*f"
+
+
+# -- the stored triple against the (Fraction, Fraction) pair oracle -----------------
+
+wide_fractions = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**4
+)
+wide_scalars = st.builds(GaussianRational, wide_fractions, wide_fractions)
+rationals = st.one_of(st.integers(-50, 50), small_fractions)
+
+
+def _pair(x):
+    return (x.re, x.im)
+
+
+def _check(got, want):
+    """``got`` is normalized, has the oracle's value and renders like it."""
+    a, b, d = got._a, got._b, got._d
+    assert d > 0 and gcd(a, b, d) == 1
+    if not (a or b):
+        assert (a, b, d) == (0, 0, 1)
+    assert _pair(got) == want
+    assert str(got) == pair_str(want)
+    assert parse_scalar(str(got)) == got
+
+
+@given(st.one_of(scalars, wide_scalars), st.one_of(scalars, wide_scalars))
+def test_operations_match_pair_oracle(x, y):
+    px, py = _pair(x), _pair(y)
+    _check(x, px)
+    _check(x + y, pair_add(px, py))
+    _check(x - y, pair_sub(px, py))
+    _check(x * y, pair_mul(px, py))
+    _check(-x, (-px[0], -px[1]))
+    _check(x.conjugate(), (px[0], -px[1]))
+    if y:
+        _check(x / y, pair_div(px, py))
+    assert (x == y) == (px == py)
+    assert (x != y) == (px != py)
+
+
+@given(scalars, rationals)
+def test_mixed_operands_match_pair_oracle(x, r):
+    px, pr = _pair(x), (Fraction(r), Fraction(0))
+    _check(x + r, pair_add(px, pr))
+    _check(r + x, pair_add(px, pr))
+    _check(x - r, pair_sub(px, pr))
+    _check(r - x, pair_sub(pr, px))
+    _check(x * r, pair_mul(px, pr))
+    _check(r * x, pair_mul(px, pr))
+    if r:
+        _check(x / r, pair_div(px, pr))
+    if x:
+        _check(r / x, pair_div(pr, px))
+    assert (x == r) == (px == pr) == (r == x)
+
+
+def test_hash_agrees_with_equal_numbers():
+    for value in (0, 2, -7, 10**30, Fraction(3, 4), Fraction(-5, 2)):
+        x = GaussianRational(value)
+        assert x == value and hash(x) == hash(value)
+        assert len({x, value}) == 1
+    # a non-real value hashes by its normalized triple
+    x = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    y = GaussianRational(Fraction(3, 2), Fraction(-9, 4)) / 3
+    assert x == y and hash(x) == hash(y)
+    assert x != x.re and x != x.conjugate()
+
+
+def test_traced_operators_and_fraction_constructor():
+    # the benchmark's tracer patches these names on the class, and its
+    # scalar probe builds operands from Fraction parts
+    for name in (
+        "__mul__", "__rmul__", "__add__", "__radd__",
+        "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+    ):
+        assert name in GaussianRational.__dict__
+    x = GaussianRational(Fraction(6, 4), Fraction(-1, 3))
+    assert (x.re, x.im) == (Fraction(3, 2), Fraction(-1, 3))
+    assert (x._a, x._b, x._d) == (9, -2, 6)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
