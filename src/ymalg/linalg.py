@@ -20,20 +20,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GaussianRational, _from_ints
+from .scalars import GaussianRational, clear_denominators, from_ints
 
 
 def _to_int_row(vec: Mapping) -> dict:
     """Clear denominators: {col: GaussianRational} -> {col: (a, b)} over Z[i]."""
-    lcm = 1
-    for c in vec.values():
-        lcm = lcm * c._d // gcd(lcm, c._d)
-    row = {}
-    for col, c in vec.items():
-        if c._a or c._b:
-            k = lcm // c._d
-            row[col] = (c._a * k, c._b * k)
-    return _content_reduce(row)
+    return _content_reduce(clear_denominators(vec))
 
 
 def _content_reduce(row: dict) -> dict:
@@ -75,7 +67,7 @@ def _normalize(row: dict, pivot) -> dict:
     c, d = row[pivot]
     norm = c * c + d * d
     return {
-        col: _from_ints(a * c + b * d, b * c - a * d, norm)
+        col: from_ints(a * c + b * d, b * c - a * d, norm)
         for col, (a, b) in row.items()
     }
 

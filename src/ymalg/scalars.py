@@ -6,6 +6,9 @@ construction: ``d > 0``, ``gcd(a, b, d) == 1``, and zero is ``(0, 0, 1)``.
 So equality is structural, and each operation costs its integer products
 plus one ``math.gcd``.  A value with ``b == 0`` hashes like the rational
 ``a/d``, so it keys a dict the same way as the equal ``int`` or ``Fraction``.
+Only this module reads the stored ints: the exact linear algebra moves
+between Q(i) and Gaussian-integer pairs through :func:`clear_denominators`
+and :func:`from_ints`.
 
 Text grammar, used by the CLI and all JSON payloads: a rational renders as
 ``a/b`` with ``/b`` omitted when the denominator is 1; a nonzero imaginary
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class GaussianRational:
@@ -53,29 +56,21 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, int):
-                return _from_ints(self._a + other * self._d, self._b, self._d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         d, e = self._d, other._d
-        if d == e:
-            return _from_ints(self._a + other._a, self._b + other._b, d)
-        return _from_ints(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        return from_ints(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, int):
-                return _from_ints(self._a - other * self._d, self._b, self._d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         d, e = self._d, other._d
-        if d == e:
-            return _from_ints(self._a - other._a, self._b - other._b, d)
-        return _from_ints(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        return from_ints(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -83,17 +78,17 @@ class GaussianRational:
         return -self + other
 
     def __neg__(self):
-        return _from_ints(-self._a, -self._b, self._d)
+        return from_ints(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             if isinstance(other, int):
-                return _from_ints(self._a * other, self._b * other, self._d)
+                return from_ints(self._a * other, self._b * other, self._d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _from_ints(a * c - b * e, a * e + b * c, self._d * other._d)
+        return from_ints(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -108,7 +103,7 @@ class GaussianRational:
         if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
         a, b = self._a * f, self._b * f
-        return _from_ints(a * c + b * e, b * c - a * e, self._d * norm)
+        return from_ints(a * c + b * e, b * c - a * e, self._d * norm)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -143,7 +138,7 @@ class GaussianRational:
         return self._b == 0 and self._d == 1
 
     def conjugate(self) -> "GaussianRational":
-        return _from_ints(self._a, -self._b, self._d)
+        return from_ints(self._a, -self._b, self._d)
 
     # -- text ---------------------------------------------------------------
 
@@ -172,9 +167,9 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _from_ints(a: int, b: int, d: int) -> GaussianRational:
-    """The normalized value ``(a + b*i) / d`` for ``d > 0``: one gcd, and no
-    ``__init__``.  Every arithmetic result is built here."""
+def from_ints(a: int, b: int, d: int) -> GaussianRational:
+    """The normalized value ``(a + b*i) / d`` for ints with ``d > 0``: one
+    gcd, and no ``__init__``.  Every arithmetic result is built here."""
     g = gcd(a, b, d)
     if g != 1:
         a //= g
@@ -185,6 +180,21 @@ def _from_ints(a: int, b: int, d: int) -> GaussianRational:
     x._b = b
     x._d = d
     return x
+
+
+def clear_denominators(values: Mapping) -> dict:
+    """Scale a mapping of GaussianRationals by the lcm ``n`` of their
+    denominators: ``{key: (x, y)}`` over Z[i] with ``value = (x + y*i) / n``.
+    Zero values are dropped."""
+    lcm = 1
+    for c in values.values():
+        lcm = lcm * c._d // gcd(lcm, c._d)
+    out = {}
+    for key, c in values.items():
+        if c._a or c._b:
+            k = lcm // c._d
+            out[key] = (c._a * k, c._b * k)
+    return out
 
 
 def _coerce(value):
