@@ -36,7 +36,6 @@ from .morphisms import (
     MorphismAnalysis,
     Sl2CaseConditions,
     Sl2CaseParameters,
-    WittTarget,
     analyze_sl2_morphism,
     assemble_sl2_morphism,
     case_oracle_mismatches,
@@ -47,7 +46,6 @@ from .morphisms import (
     solvable_image_audit,
     solvable_non_nilpotent_example,
     sl2_case_residual,
-    witt_virasoro_morphism,
     yu_morphism,
 )
 from .linalg import Subspace
@@ -59,6 +57,7 @@ from .targets import (
     TargetElement,
     WindowReport,
     WittElement,
+    WittTarget,
     algebra_from_json,
     analyze_image,
     generated_window,
@@ -69,7 +68,6 @@ from .targets import (
     witt_bracket,
     witt_c,
     witt_e,
-    witt_zero,
 )
 from .ym_quotient import (
     YangMillsPresentation,

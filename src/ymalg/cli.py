@@ -27,22 +27,19 @@ from .kac_moody import (
 )
 from .morphisms import (
     GeneratorMorphism,
-    WittTarget,
     case_oracle_mismatches,
-    doubled_pair_images,
+    pair_to_ym4_morphism,
     solvable_image_audit,
 )
 from .scalars import parse_scalar
 from .targets import (
     StructureConstantAlgebra,
-    WittElement,
+    WittTarget,
     algebra_from_json,
     analyze_image,
     generated_window,
     heisenberg,
     sl_algebra,
-    witt_c,
-    witt_e,
 )
 from .ym_quotient import dims_table, dims_table_csv
 
@@ -57,7 +54,6 @@ _SL_TARGET = re.compile(r"^sl\(?(\d+)\)?$")
 # building sl(m) checks Jacobi on every basis triple, which grows like m^6
 # (about 2 s for m = 12 on a 2-vCPU VM)
 MAX_SL_SIZE = 12
-_WITT_LABEL = re.compile(r"^e_?(-?\d+)$")
 
 
 def resolve_target(name: str):
@@ -87,13 +83,6 @@ def _message(exc: Exception) -> str:
 
 
 def _basis_by_name(target, name: str):
-    if isinstance(target, WittTarget):
-        m = _WITT_LABEL.match(name)
-        if m:
-            return witt_e(int(m.group(1)))
-        if name == "c":
-            return witt_c()
-        raise CliInputError(f"unknown Witt basis name {name!r} (use e_<k> or c)")
     label = name.replace("^{", "").replace("}", "").replace("^", "")
     try:
         return target.basis_element(label)
@@ -180,16 +169,10 @@ def load_morphism_spec(path: str) -> GeneratorMorphism:
     for entry in images_spec:
         if not isinstance(entry, dict):
             raise CliInputError("each image must be a {basis-name: scalar} map")
-        if isinstance(target, WittTarget):
-            img = WittElement()
-            for key, val in entry.items():
-                img = img + _basis_by_name(target, key) * parse_scalar(val)
-        else:
-            try:
-                img = target.element(entry)
-            except (KeyError, ValueError) as exc:
-                raise CliInputError(f"bad image: {_message(exc)}") from None
-        images.append(img)
+        try:
+            images.append(target.element(entry))
+        except (KeyError, ValueError) as exc:
+            raise CliInputError(f"bad image: {_message(exc)}") from None
     try:
         return GeneratorMorphism(n, target, images)
     except ValueError as exc:
@@ -251,12 +234,7 @@ def _image_results(target, images, args) -> dict:
             "nilpotent": image.is_nilpotent,
             "surjective": image.is_surjective,
         }
-    window = generated_window(
-        list(images),
-        depth=args.depth,
-        window=args.window,
-        virasoro=target.virasoro,
-    )
+    window = generated_window(target, images, depth=args.depth, window=args.window)
     return {
         "window": {
             "depth": window.depth,
@@ -329,19 +307,18 @@ def _cmd_case_study(args, echo):
 
 def _cmd_pair(args, echo):
     target = resolve_target(args.target)
-    if args.virasoro:
-        if not isinstance(target, WittTarget):
-            raise CliInputError("--virasoro only applies to the witt target")
-        target = WittTarget(True)
     if isinstance(target, WittTarget):
-        a = parse_element(target, args.a) if args.a else witt_e(-2)
-        b = parse_element(target, args.b) if args.b else witt_e(3)
+        target = WittTarget(target.virasoro or args.virasoro)
+        a = parse_element(target, args.a) if args.a else target.basis_element("e_-2")
+        b = parse_element(target, args.b) if args.b else target.basis_element("e_3")
+    elif args.virasoro:
+        raise CliInputError("--virasoro only applies to the witt target")
+    elif not args.a or not args.b:
+        raise CliInputError("--a and --b are required for finite targets")
     else:
-        if not args.a or not args.b:
-            raise CliInputError("--a and --b are required for finite targets")
         a = parse_element(target, args.a)
         b = parse_element(target, args.b)
-    phi = GeneratorMorphism(4, target, doubled_pair_images(a, b))
+    phi = pair_to_ym4_morphism(target, a, b)
     residuals = phi.relation_residuals()
     residuals_zero = all(r.is_zero for r in residuals)
     digest = _digest(

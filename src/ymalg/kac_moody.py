@@ -30,6 +30,8 @@ class MatrixData:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixData":
+        if not all(isinstance(r, (list, tuple)) for r in rows):
+            raise ValueError("each matrix row must be an array")
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("matrix must be square and nonempty")

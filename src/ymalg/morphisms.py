@@ -1,10 +1,12 @@
 """Generator-defined Lie morphisms out of free and Yang-Mills algebras.
 
 A GeneratorMorphism is fixed by images of the generators x_1..x_n in a
-target (a free Lie algebra f(m), a structure-constant algebra, or the
-Witt/Virasoro algebra).  Evaluation replaces each Lyndon basis word by its
-standard bracketing computed in the target; a morphism factors through the
-(strong) Yang-Mills algebra iff all relation residuals vanish.
+target: a free Lie algebra f(m) (``FreeTarget``), or one of the algebras in
+``targets``, a structure-constant algebra or ``WittTarget`` (Witt/Virasoro).
+Evaluation replaces each Lyndon basis word by its standard bracketing
+computed in the target; a morphism factors through the (strong) Yang-Mills
+algebra iff all relation residuals vanish.  ``pair_to_ym4_morphism`` is the
+one ym(4) pair map, for any target.
 
 The sl(2) case study of ym(3) is implemented twice on purpose: once through
 closed-form scalar conditions in the branch parameters, once by direct
@@ -22,16 +24,7 @@ from typing import Sequence
 from .free_lie import FreeLieElement, bracket, standard_factorization
 from .linalg import Combination
 from .scalars import GaussianRational, parse_scalar
-from .targets import (
-    StructureConstantAlgebra,
-    TargetElement,
-    WittElement,
-    analyze_image,
-    sl_algebra,
-    witt_bracket,
-    witt_e,
-    witt_zero,
-)
+from .targets import StructureConstantAlgebra, WittTarget, analyze_image, sl_algebra
 from .ym_quotient import strong_relation_elements, ym_relations
 
 _I = GaussianRational(0, 1)
@@ -52,19 +45,6 @@ class FreeTarget:
 
     def bracket(self, u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
         return bracket(u, v)
-
-
-@dataclass(frozen=True)
-class WittTarget:
-    """The Witt algebra, or its Virasoro extension when the flag is set."""
-
-    virasoro: bool = False
-
-    def zero(self) -> WittElement:
-        return witt_zero()
-
-    def bracket(self, u: WittElement, v: WittElement) -> WittElement:
-        return witt_bracket(u, v, self.virasoro)
 
 
 class GeneratorMorphism:
@@ -174,32 +154,12 @@ def yu_morphism() -> GeneratorMorphism:
     )
 
 
-def doubled_pair_images(a, b) -> list:
-    return [a, b, a * _I, b * _I]
-
-
-def pair_to_ym4_morphism(
-    g: StructureConstantAlgebra, a: TargetElement, b: TargetElement
-) -> GeneratorMorphism:
-    """ym(4) -> g with images (a, b, i*a, i*b); weak residuals vanish
-    identically by the doubling cancellation, and the morphism is surjective
-    iff {a, b} generates g."""
-    return GeneratorMorphism(4, g, doubled_pair_images(a, b))
-
-
-def witt_virasoro_morphism(
-    virasoro: bool = False,
-    a: WittElement | None = None,
-    b: WittElement | None = None,
-) -> GeneratorMorphism:
-    """ym(4) -> Witt (or Virasoro): images (e_{-2}, e_3, i*e_{-2}, i*e_3) by
-    default.  Central cocycle terms are tracked exactly; they cancel in the
-    telescoping sum as well."""
-    if a is None:
-        a = witt_e(-2)
-    if b is None:
-        b = witt_e(3)
-    return GeneratorMorphism(4, WittTarget(virasoro), doubled_pair_images(a, b))
+def pair_to_ym4_morphism(target, a, b) -> GeneratorMorphism:
+    """ym(4) -> target with images (a, b, i*a, i*b), for any target.  The
+    weak residuals vanish identically by the doubling cancellation; the
+    Virasoro cocycle terms cancel as well.  For a finite g the morphism is
+    surjective iff {a, b} generates g."""
+    return GeneratorMorphism(4, target, [a, b, a * _I, b * _I])
 
 
 # -- Fact 1: isotropic orthogonality ----------------------------------------------

@@ -2,9 +2,11 @@
 
 Finite-dimensional algebras are given by a labelled basis and structure
 constants (antisymmetry completed, Jacobi verified on construction); sl(m)
-and the first Heisenberg algebra come built in.  The Witt algebra and its
-Virasoro central extension are handled with exact finite-support elements
-over the basis {e_k : k in Z} (+ c).
+and the first Heisenberg algebra come built in.  ``WittTarget`` is the Witt
+algebra or its Virasoro central extension, with exact finite-support
+elements over the basis {e_k : k in Z} (+ c).  Every target has the same
+element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``
+and ``element({label: scalar})``.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -435,10 +438,6 @@ def witt_c(coeff=1) -> WittElement:
     return WittElement({WITT_CENTRAL: coeff})
 
 
-def witt_zero() -> WittElement:
-    return WittElement()
-
-
 _TWELVE = GaussianRational(12)
 
 
@@ -458,6 +457,43 @@ def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> Witt
     return WittElement(terms)
 
 
+_WITT_LABEL = re.compile(r"^e_?(-?\d+)$")
+
+
+@dataclass(frozen=True)
+class WittTarget:
+    """The Witt algebra, or its Virasoro extension when the flag is set.
+    Basis labels are ``e_<k>`` (or ``e<k>``) and ``c``."""
+
+    virasoro: bool = False
+
+    def zero(self) -> WittElement:
+        return WittElement()
+
+    def basis_element(self, label: str) -> WittElement:
+        return WittElement({self._key(label): 1})
+
+    def element(self, coords: Mapping) -> WittElement:
+        """Sum of the terms, so aliases such as ``e1`` and ``e_1`` add up."""
+        terms: dict = {}
+        for label, c in coords.items():
+            key = self._key(label)
+            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
+            accumulate(terms, key, c)
+        return WittElement(terms)
+
+    def _key(self, label: str):
+        if label == "c":
+            return WITT_CENTRAL
+        m = _WITT_LABEL.match(label)
+        if not m:
+            raise KeyError(f"unknown Witt basis name {label!r} (use e_<k> or c)")
+        return int(m.group(1))
+
+    def bracket(self, u: WittElement, v: WittElement) -> WittElement:
+        return witt_bracket(u, v, self.virasoro)
+
+
 @dataclass(frozen=True)
 class WindowReport:
     """Finite generation evidence: which e_n with |n| <= window lie in the
@@ -475,30 +511,24 @@ class WindowReport:
 
 
 def generated_window(
-    gens: Sequence[WittElement],
-    depth: int,
-    window: int,
-    virasoro: bool = False,
+    target: WittTarget, gens: Sequence[WittElement], depth: int, window: int
 ) -> WindowReport:
-    """Iterate brackets of the generators up to ``depth`` rounds (round 1 is
-    the generators themselves), project the span onto the e_n with
-    |n| <= window and c, and report which e_n lie in the projection."""
+    """Iterate brackets of the generators in ``target`` up to ``depth``
+    rounds (round 1 is the generators themselves), project the span onto
+    the e_n with |n| <= window and c, and report which e_n lie in the
+    projection."""
     if depth < 1 or window < 1:
         raise ValueError("need depth >= 1 and window >= 1")
     if not gens:
         raise ValueError("need a nonempty generator list")
 
-    span = _bracket_closure(
-        Subspace(witt_zero(), gens),
-        lambda u, v: witt_bracket(u, v, virasoro),
-        depth - 1,
-    )
+    span = _bracket_closure(Subspace(target.zero(), gens), target.bracket, depth - 1)
     # project the span onto e_{-window}..e_{window} and c, then test each
     # unit vector
     keys = (*range(-window, window + 1), WITT_CENTRAL)
     window_keys = set(keys)
     restricted = Subspace(
-        witt_zero(),
+        target.zero(),
         (
             elem._like({k: c for k, c in elem.terms.items() if k in window_keys})
             for elem in span.basis_elements()

@@ -27,15 +27,21 @@ from ymalg.morphisms import (
     assemble_sl2_morphism,
     doubling_morphism,
     isotropic_orthogonal_witness,
+    pair_to_ym4_morphism,
     sample_case_parameters,
     solvable_non_nilpotent_example,
     sl2_case_residual,
     solvable_image_audit,
-    witt_virasoro_morphism,
     yu_morphism,
 )
 from ymalg.scalars import GaussianRational as GR, I
-from ymalg.targets import generated_window, sl_algebra, subalgebra_closure, witt_e
+from ymalg.targets import (
+    WittTarget,
+    generated_window,
+    sl_algebra,
+    subalgebra_closure,
+    witt_e,
+)
 from ymalg.ym_quotient import ym_graded_dims
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
@@ -119,9 +125,12 @@ def test_criterion_05_yu_example():
 def test_criterion_06_witt_virasoro():
     with criterion(6, "Witt/Virasoro quotient evidence", 10.0):
         for virasoro in (False, True):
-            phi = witt_virasoro_morphism(virasoro)
+            target = WittTarget(virasoro)
+            phi = pair_to_ym4_morphism(target, witt_e(-2), witt_e(3))
             assert all(r.is_zero for r in phi.relation_residuals()), virasoro
-        report = generated_window([witt_e(-2), witt_e(3)], depth=8, window=10)
+        report = generated_window(
+            WittTarget(), [witt_e(-2), witt_e(3)], depth=8, window=10
+        )
         assert set(report.covered) == set(range(-10, 11))
 
 

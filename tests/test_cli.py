@@ -134,6 +134,18 @@ class TestVerify:
         assert results["residuals_zero"] is True
         assert "window" in results
 
+    def test_witt_spec_unknown_label(self, spec_file):
+        path = spec_file(
+            "witt_x.json", {"n": 1, "target": "witt", "images": [{"x_1": "1"}]}
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", path])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: bad image: unknown Witt basis name 'x_1' (use e_<k> or c)\n"
+        )
+
     def test_custom_target(self, spec_file):
         path = spec_file(
             "custom.json",
@@ -367,8 +379,7 @@ class TestPair:
 
     def test_witt_negative_index_in_sums(self):
         from ymalg.cli import parse_element
-        from ymalg.morphisms import WittTarget
-        from ymalg.targets import witt_e
+        from ymalg.targets import WittTarget, witt_e
 
         got = parse_element(WittTarget(), "2*e_-1 - e_-2 + e_3")
         assert got == witt_e(-1) * 2 - witt_e(-2) + witt_e(3)
@@ -378,6 +389,13 @@ class TestPair:
         assert proc.returncode == 0
         default = run_cli("pair", "--target", "witt")
         assert results_of(proc) == results_of(default)
+
+    def test_witt_braced_index(self):
+        # braces are dropped from labels on every target, as in E^{12}
+        proc = run_cli("pair", "--target", "witt", "--a", "e^{3}", "--b", "e_-2")
+        assert proc.returncode == 0
+        results = results_of(proc)
+        assert results["a"] == "e_3" and results["b"] == "e_-2"
 
     def test_sl_size_is_capped(self):
         # refused before anything is built: building sl(999) would take days
@@ -490,6 +508,86 @@ class TestRealization:
         path.write_text("[[1, 2]]")
         proc = run_cli("realization", str(path))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text", ["[1]", "[null]", '["12", "34"]'], ids=["int", "null", "strings"]
+    )
+    def test_rows_must_be_arrays(self, tmp_path, text):
+        # a string row must not be read as its characters, and an int or
+        # null row must not end in a traceback
+        path = tmp_path / "rows.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["realization", str(path)])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().splitlines() == [
+            "error: bad matrix input: each matrix row must be an array"
+        ]
+
+
+GOLDEN_MATRICES = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).parent / "golden" / "matrices").glob("*.json"))
+]
+MATRIX_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([1.5, "", "x", "1/0", "2", "-1", "0", "i", "1/2-i", [], ["2"], {}]),
+)
+MATRIX_ROWS = st.one_of(
+    st.sampled_from(["12", "", 1, None, {}, {"0": "2"}, []]),
+    st.lists(MATRIX_ENTRIES, max_size=5),
+)
+REALIZATION_KEYS = {"m", "rank", "gcm", "realization", "verified", "ym_quotient_bound"}
+
+
+class TestRealizationFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_matrices_keep_exit_contract(self, data):
+        # swap entries and rows for other types, make rows ragged, wrap the
+        # matrix in a dict; the CLI must answer 0 or 1 with a full report,
+        # or 2 with one error line, and never raise
+        matrix = copy.deepcopy(data.draw(st.sampled_from(GOLDEN_MATRICES)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["entry", "row", "ragged", "drop"]))
+            i = data.draw(st.integers(0, len(matrix) - 1)) if matrix else None
+            if i is None:
+                matrix.append(data.draw(MATRIX_ROWS))
+            elif kind == "row":
+                matrix[i] = data.draw(MATRIX_ROWS)
+            elif kind == "drop":
+                del matrix[i]
+            elif not isinstance(matrix[i], list):
+                continue
+            elif kind == "ragged":
+                matrix[i].append(data.draw(MATRIX_ENTRIES))
+            elif matrix[i]:
+                j = data.draw(st.integers(0, len(matrix[i]) - 1))
+                matrix[i][j] = data.draw(MATRIX_ENTRIES)
+        payload = data.draw(
+            st.sampled_from(
+                [matrix, {"matrix": matrix}, {"A": matrix}, {"rows": matrix}]
+            )
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matrix.json"
+            path.write_text(json.dumps(payload))
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["realization", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+        else:
+            report = json.loads(out.getvalue())
+            assert set(report) == {"command", "seed", "inputs_digest", "results"}
+            assert set(report["results"]) == REALIZATION_KEYS
+            assert report["results"]["verified"] is (code == 0)
 
 
 class TestDeterminism:

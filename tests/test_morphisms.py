@@ -8,7 +8,6 @@ from ymalg.morphisms import (
     FreeTarget,
     GeneratorMorphism,
     Sl2CaseParameters,
-    WittTarget,
     analyze_sl2_morphism,
     assemble_sl2_morphism,
     case_oracle_mismatches,
@@ -19,12 +18,12 @@ from ymalg.morphisms import (
     sl2_case_residual,
     solvable_image_audit,
     solvable_non_nilpotent_example,
-    witt_virasoro_morphism,
     yu_morphism,
 )
 from ymalg.scalars import GaussianRational as GR, I, ONE
 from ymalg.targets import (
     StructureConstantAlgebra,
+    WittTarget,
     sl_algebra,
     subalgebra_closure,
     witt_e,
@@ -227,18 +226,19 @@ class TestPairMorphisms:
 class TestWittMorphism:
     def test_residuals_both_flags(self):
         for virasoro in (False, True):
-            phi = witt_virasoro_morphism(virasoro)
+            phi = pair_to_ym4_morphism(WittTarget(virasoro), witt_e(-2), witt_e(3))
             res = phi.relation_residuals()
             assert all(r.is_zero for r in res), virasoro
 
     def test_default_images(self):
-        phi = witt_virasoro_morphism()
+        phi = pair_to_ym4_morphism(WittTarget(), witt_e(-2), witt_e(3))
         assert phi.images[0] == witt_e(-2)
         assert phi.images[1] == witt_e(3)
         assert phi.images[2] == witt_e(-2) * I
+        assert phi.images[3] == witt_e(3) * I
 
     def test_bracket_image(self):
-        phi = witt_virasoro_morphism()
+        phi = pair_to_ym4_morphism(WittTarget(), witt_e(-2), witt_e(3))
         assert phi.evaluate(bracket(x(4, 1), x(4, 2))) == witt_e(1) * 5
 
 

@@ -16,6 +16,7 @@ from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
     StructureConstantAlgebra,
     WittElement,
+    WittTarget,
     algebra_from_json,
     generated_window,
     heisenberg,
@@ -25,8 +26,9 @@ from ymalg.targets import (
     witt_bracket,
     witt_c,
     witt_e,
-    witt_zero,
 )
+
+WITT = WittTarget()
 
 
 def sl2_elems():
@@ -270,48 +272,73 @@ class TestWitt:
     def test_element_repr(self):
         elem = witt_e(1) * 5 - witt_c(GR(Fraction(1, 2)))
         assert repr(elem) == "5*e_1 - 1/2*c"
-        assert repr(witt_zero()) == "0"
+        assert repr(WITT.zero()) == "0"
+
+
+class TestWittTarget:
+    def test_basis_elements(self):
+        assert WITT.basis_element("c") == witt_c()
+        assert WITT.basis_element("e_-2") == witt_e(-2)
+        assert WITT.basis_element("e5") == witt_e(5)
+        assert WittTarget(True).basis_element("e_0") == witt_e(0)
+
+    def test_element_sums_aliases(self):
+        assert WITT.element({"e1": "1", "e_1": "-1"}).is_zero
+        assert WITT.element({"e_2": "1/2", "e2": "1/2", "c": "i"}) == (
+            witt_e(2) + witt_c(GR(0, 1))
+        )
+        assert WITT.element({}) == WITT.zero()
+
+    @pytest.mark.parametrize("label", ["x_1", "e", "e_", "e_1.5", "C", "f_2"])
+    def test_unknown_label(self, label):
+        with pytest.raises(KeyError) as info:
+            WITT.basis_element(label)
+        assert info.value.args == (
+            f"unknown Witt basis name {label!r} (use e_<k> or c)",
+        )
+        with pytest.raises(KeyError):
+            WITT.element({label: "0"})
 
 
 class TestGeneratedWindow:
     def test_depth_two_covers_e1(self):
-        report = generated_window([witt_e(-2), witt_e(3)], depth=2, window=1)
+        report = generated_window(WITT, [witt_e(-2), witt_e(3)], depth=2, window=1)
         assert report.covered == (1,)
 
     def test_full_window_at_depth_eight(self):
-        report = generated_window([witt_e(-2), witt_e(3)], depth=8, window=10)
+        report = generated_window(WITT, [witt_e(-2), witt_e(3)], depth=8, window=10)
         assert report.covers_window()
 
     def test_window_projects_the_span(self):
         # e_9 lies outside the window, so the span's projection holds e_1
-        report = generated_window([witt_e(1) + witt_e(9)], depth=1, window=2)
+        report = generated_window(WITT, [witt_e(1) + witt_e(9)], depth=1, window=2)
         assert report.covered == (1,) and report.span_dim == 1
 
     def test_single_central_generator(self):
-        report = generated_window([witt_e(0)], depth=5, window=3)
+        report = generated_window(WITT, [witt_e(0)], depth=5, window=3)
         assert report.covered == (0,)
 
     def test_monotone_in_depth_and_window(self):
         gens = [witt_e(-2), witt_e(3)]
         prev: set = set()
         for depth in range(1, 7):
-            covered = set(generated_window(gens, depth, 6).covered)
+            covered = set(generated_window(WITT, gens, depth, 6).covered)
             assert prev <= covered
             prev = covered
-        wide = set(generated_window(gens, 6, 8).covered)
+        wide = set(generated_window(WITT, gens, 6, 8).covered)
         assert prev <= wide
 
     def test_virasoro_central_coverage(self):
         report = generated_window(
-            [witt_e(-2), witt_e(3)], depth=6, window=4, virasoro=True
+            WittTarget(True), [witt_e(-2), witt_e(3)], depth=6, window=4
         )
         assert report.central_covered
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            generated_window([], 2, 2)
+            generated_window(WITT, [], 2, 2)
         with pytest.raises(ValueError):
-            generated_window([witt_e(1)], 0, 2)
+            generated_window(WITT, [witt_e(1)], 0, 2)
 
 
 def _pairs(terms: dict) -> dict:
@@ -333,7 +360,9 @@ class TestClosureOracle:
     @pytest.mark.parametrize("gens", WITT_GENS)
     def test_window_span_dim(self, gens, depth, virasoro):
         gens = [WittElement(g) for g in gens]
-        report = generated_window(gens, depth=depth, window=3, virasoro=virasoro)
+        report = generated_window(
+            WittTarget(virasoro), gens, depth=depth, window=3
+        )
         assert report.span_dim == oracle_closure_dim(
             [_pairs(g.terms) for g in gens],
             lambda u, v: oracle_witt_bracket(u, v, virasoro),
