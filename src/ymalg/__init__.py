@@ -10,6 +10,7 @@ from .free_lie import (
     DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
     FreeLieElement,
+    FreeTarget,
     GradedDims,
     LyndonWord,
     bracket,
@@ -31,7 +32,6 @@ from .kac_moody import (
 )
 from .morphisms import (
     AuditReport,
-    FreeTarget,
     GeneratorMorphism,
     MorphismAnalysis,
     Sl2CaseConditions,
@@ -54,7 +54,6 @@ from .targets import (
     ImageAnalysis,
     SeriesReport,
     StructureConstantAlgebra,
-    TargetElement,
     WindowReport,
     WittElement,
     WittTarget,

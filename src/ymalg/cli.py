@@ -134,16 +134,16 @@ def parse_element(target, text: str):
     return out
 
 
-def load_morphism_spec(path: str) -> GeneratorMorphism:
+def _read_input(path: str, what: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise CliInputError(f"cannot read morphism spec: {exc}") from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"malformed JSON in {path}: {exc}") from None
+        raise CliInputError(f"cannot read {what}: {exc}") from None
+
+
+def morphism_from_json(data) -> GeneratorMorphism:
+    """The morphism of a decoded spec {"n", "target", "images"}."""
     if not isinstance(data, dict) or "n" not in data or "images" not in data:
         raise CliInputError('morphism spec needs "n", "target" and "images"')
     n, images_spec = data["n"], data["images"]
@@ -247,9 +247,12 @@ def _image_results(target, images, args) -> dict:
 
 
 def _cmd_verify(args, echo):
-    with open(args.spec, "rb") as fh:
-        digest = _digest(fh.read())
-    phi = load_morphism_spec(args.spec)
+    raw = _read_input(args.spec, "morphism spec")
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"malformed JSON in {args.spec}: {exc}") from None
+    phi = morphism_from_json(data)
     residuals = phi.relation_residuals(strong=args.strong)
     residuals_zero = all(r.is_zero for r in residuals)
     results = {
@@ -263,7 +266,7 @@ def _cmd_verify(args, echo):
         "surjective": None,
     }
     results.update(_image_results(phi.target, phi.images, args))
-    return _report(echo, None, digest, results), 0 if residuals_zero else 1
+    return _report(echo, None, _digest(raw), results), 0 if residuals_zero else 1
 
 
 def _cmd_case_study(args, echo):
@@ -341,11 +344,7 @@ def _cmd_pair(args, echo):
 
 
 def _cmd_realization(args, echo):
-    try:
-        with open(args.matrix, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read matrix file: {exc}") from None
+    raw = _read_input(args.matrix, "matrix file")
     try:
         A = MatrixData.from_json(raw.decode())
     except (ValueError, UnicodeDecodeError) as exc:

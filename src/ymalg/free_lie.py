@@ -10,7 +10,8 @@ Lyndon) proper suffix of w.
 Brackets of basis elements are rewritten into the basis by the classical
 Lyndon bracketing recursion, memoized per word pair.  Coefficients in the
 rewriting core are plain integers; Q(i) scalars only enter at the element
-level.
+level.  ``FreeTarget(m)`` is the space of every element of f(m), and a
+morphism target; ``bracket`` is ``linalg.bilinear`` over that recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Combination, accumulate
+from .linalg import Combination, bilinear
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 DEFAULT_DEGREE_CAP = 12
@@ -163,7 +164,7 @@ def _bracket_words(u: tuple, v: tuple) -> dict:
         return hit
     if len(u) == 1 or standard_factorization(u)[1] >= v:
         # (u, v) is the standard factorization of uv, so [b(u), b(v)] = b(uv)
-        res = {u + v: 1}
+        res = {LyndonWord._trusted(u + v): 1}
     else:
         # u = xy standard, y < v: [[X,Y],V] = [X,[Y,V]] - [Y,[X,V]]
         x, y = standard_factorization(u)
@@ -189,6 +190,24 @@ def clear_caches() -> None:
 # -- elements ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FreeTarget:
+    """The free Lie algebra f(m): the space of its elements, and a morphism
+    target."""
+
+    m: int
+
+    def zero(self) -> "FreeLieElement":
+        return FreeLieElement.zero(self.m)
+
+    def bracket(self, u: "FreeLieElement", v: "FreeLieElement") -> "FreeLieElement":
+        return bracket(u, v)
+
+    def format(self, terms: Mapping) -> str:
+        words = sorted(terms, key=lambda w: (len(w), w))
+        return format_linear(((repr(w), terms[w]) for w in words), "·")
+
+
 class FreeLieElement(Combination):
     """A finite Q(i)-linear combination of Lyndon basis brackets of f(n).
 
@@ -196,12 +215,12 @@ class FreeLieElement(Combination):
     construction, and zero coefficients are pruned on entry.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping | None = None, _trusted: bool = False):
         if n < 1:
             raise ValueError("need n >= 1")
-        self.n = n
+        self.space = FreeTarget(n)
         if terms is None:
             self.terms = {}
         elif _trusted:
@@ -216,6 +235,10 @@ class FreeLieElement(Combination):
                 if c:
                     clean[word] = c
             self.terms = clean
+
+    @property
+    def n(self) -> int:
+        return self.space.m
 
     # -- constructors ---------------------------------------------------
 
@@ -237,13 +260,6 @@ class FreeLieElement(Combination):
             raise ValueError(f"word {word!r} uses letters above {n}")
         return cls(n, {word: GaussianRational(1)}, _trusted=True)
 
-    def _space(self) -> str:
-        return f"f({self.n})"
-
-    def _like(self, terms: Mapping) -> "FreeLieElement":
-        """An element of the same f(n) with the given (clean) terms."""
-        return FreeLieElement(self.n, terms, _trusted=True)
-
     # -- views ------------------------------------------------------------
 
     def degrees(self) -> tuple:
@@ -257,13 +273,6 @@ class FreeLieElement(Combination):
     def homogeneous_part(self, d: int) -> "FreeLieElement":
         return self._like({w: c for w, c in self.terms.items() if len(w) == d})
 
-    def bracket(self, other: "FreeLieElement") -> "FreeLieElement":
-        return bracket(self, other)
-
-    def __repr__(self):
-        words = sorted(self.terms, key=lambda w: (len(w), w))
-        return format_linear(((repr(w), self.terms[w]) for w in words), "·")
-
 
 def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     """The Lie bracket [a, b], expanded in the Lyndon basis.
@@ -272,13 +281,7 @@ def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     bracketing recursion.
     """
     a._require_same(b)
-    out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            c = ca * cb
-            for w, k in _bracket_words(tuple(wa), tuple(wb)).items():
-                accumulate(out, w, c * k)
-    return a._like({LyndonWord._trusted(w): c for w, c in out.items()})
+    return a._like(bilinear(a.terms, b.terms, _bracket_words))
 
 
 def scalar_combine(

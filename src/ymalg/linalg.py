@@ -8,11 +8,13 @@ on the first nonzero column of each incoming row.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
-``Combination`` is the base of every algebra element: a finite Q(i)-linear
-combination of basis keys with its vector-space arithmetic.  ``Subspace``
-wraps an Echelon around the span of Combinations of one ambient space;
-ideal components, subalgebra closures, series terms and Witt windows are all
-Subspaces.
+``Combination(space, terms)`` is every algebra element: a finite
+Q(i)-linear combination of basis keys of its ambient space, with its
+vector-space arithmetic; the space renders it with ``space.format(terms)``.
+``bilinear`` is the one bracket loop: the bilinear extension of a rule for
+a pair of basis keys.  ``Subspace`` wraps an Echelon around the span of
+Combinations of one ambient space; ideal components, subalgebra closures,
+series terms and Witt windows are all Subspaces.
 """
 
 from __future__ import annotations
@@ -149,25 +151,50 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-class Combination:
-    """A finite Q(i)-linear combination of basis keys: ``terms`` maps keys to
-    nonzero GaussianRationals.  Immutable by convention.
+def bilinear(u_terms: Mapping, v_terms: Mapping, pair) -> dict:
+    """The bilinear extension of a basis-pair rule: ``pair(i, j)`` is the
+    bracket of basis keys i and j as {key: coefficient}, empty when it
+    vanishes.  Returns the clean terms of [sum c_i b_i, sum c_j b_j]."""
+    out: dict = {}
+    for i, ci in u_terms.items():
+        for j, cj in v_terms.items():
+            rule = pair(i, j)
+            if rule:
+                c = ci * cj
+                for k, coeff in rule.items():
+                    accumulate(out, k, c * coeff)
+    return out
 
-    Subclasses name their ambient space with ``_space()`` (equal spaces
-    compare equal) and build an element of it from clean terms with
-    ``_like()``; combining elements of different spaces raises ValueError.
+
+class Combination:
+    """A finite Q(i)-linear combination of basis keys of ``space``: ``terms``
+    maps keys to nonzero GaussianRationals.  Immutable by convention.
+
+    Equal spaces compare equal; combining elements of different spaces
+    raises ValueError.  The space renders the terms: ``space.format(terms)``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms: Mapping):
+        self.space = space
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def _like(self, terms: Mapping):
+        """An element of the same type and space with the given clean terms."""
+        out = object.__new__(type(self))
+        out.space = self.space
+        out.terms = terms
+        return out
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def _require_same(self, other) -> None:
-        mine = self._space()
-        theirs = other._space() if isinstance(other, Combination) else type(other).__name__
-        if theirs != mine:
+        mine = self.space
+        theirs = other.space if isinstance(other, Combination) else type(other).__name__
+        if theirs is not mine and theirs != mine:
             raise ValueError(f"cannot combine elements of {mine} and {theirs}")
 
     def __add__(self, other):
@@ -195,10 +222,13 @@ class Combination:
     def __eq__(self, other):
         if not isinstance(other, Combination):
             return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms
+        return self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._space(), frozenset(self.terms.items())))
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return self.space.format(self.terms)
 
 
 class Subspace:

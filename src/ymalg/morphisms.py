@@ -1,8 +1,9 @@
 """Generator-defined Lie morphisms out of free and Yang-Mills algebras.
 
 A GeneratorMorphism is fixed by images of the generators x_1..x_n in a
-target: a free Lie algebra f(m) (``FreeTarget``), or one of the algebras in
-``targets``, a structure-constant algebra or ``WittTarget`` (Witt/Virasoro).
+target: a free Lie algebra f(m) (``free_lie.FreeTarget``), or one of the
+algebras in ``targets``, a structure-constant algebra or ``WittTarget``
+(Witt/Virasoro).
 Evaluation replaces each Lyndon basis word by its standard bracketing
 computed in the target; a morphism factors through the (strong) Yang-Mills
 algebra iff all relation residuals vanish.  ``pair_to_ym4_morphism`` is the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .free_lie import FreeLieElement, bracket, standard_factorization
+from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Combination
 from .scalars import GaussianRational, parse_scalar
 from .targets import StructureConstantAlgebra, WittTarget, analyze_image, sl_algebra
@@ -29,22 +30,6 @@ from .ym_quotient import strong_relation_elements, ym_relations
 
 _I = GaussianRational(0, 1)
 _ONE = GaussianRational(1)
-
-
-# -- targets -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FreeTarget:
-    """The free Lie algebra f(m) as a morphism target."""
-
-    m: int
-
-    def zero(self) -> FreeLieElement:
-        return FreeLieElement.zero(self.m)
-
-    def bracket(self, u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
-        return bracket(u, v)
 
 
 class GeneratorMorphism:
@@ -58,7 +43,7 @@ class GeneratorMorphism:
             raise TypeError(f"unsupported morphism target {target!r}")
         zero = target.zero()
         for k, img in enumerate(images, start=1):
-            if not isinstance(img, Combination) or img._space() != zero._space():
+            if not isinstance(img, Combination) or img.space != zero.space:
                 raise ValueError(f"image of x_{k} does not live in the target")
         self.n = n
         self.target = target

@@ -227,7 +227,7 @@ def parse_scalar(text) -> GaussianRational:
     """Parse the scalar grammar: "3/2", "-1+2i", "i", "0", "1/2-3/4i"."""
     if isinstance(text, GaussianRational):
         return text
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return GaussianRational(text)
     s = str(text)
     if not _SCALAR_FULL.match(s):

@@ -5,8 +5,11 @@ constants (antisymmetry completed, Jacobi verified on construction); sl(m)
 and the first Heisenberg algebra come built in.  ``WittTarget`` is the Witt
 algebra or its Virasoro central extension, with exact finite-support
 elements over the basis {e_k : k in Z} (+ c).  Every target has the same
-element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``
-and ``element({label: scalar})``.
+element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``,
+``element({label: scalar})`` (one builder for both) and ``format(terms)``,
+which renders its elements.  Elements are ``Combination``s whose space is
+the target (``WittElement``s all share the Witt space); each bracket is
+``linalg.bilinear`` over the target's rule for a pair of basis keys.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -22,14 +25,32 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .linalg import Combination, Subspace, accumulate
+from .linalg import Combination, Subspace, accumulate, bilinear
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 
 # -- structure-constant algebras ----------------------------------------------
 
 
-class StructureConstantAlgebra:
+class _Labelled:
+    """The element builders of a target with basis labels; a subclass gives
+    ``zero()`` and ``_key(label)``, the basis key a label names (KeyError
+    for an unknown label)."""
+
+    def basis_element(self, label) -> Combination:
+        return self.zero()._like({self._key(label): GaussianRational(1)})
+
+    def element(self, coords: Mapping) -> Combination:
+        """Sum of the terms.  Every label is resolved, even with a zero
+        coefficient, and aliases such as ``e1`` and ``e_1`` add up."""
+        terms: dict = {}
+        for label, c in coords.items():
+            key = self._key(label)
+            accumulate(terms, key, parse_scalar(c))
+        return self.zero()._like(terms)
+
+
+class StructureConstantAlgebra(_Labelled):
     """A finite-dimensional Lie algebra over Q(i) by basis and constants.
 
     ``brackets`` maps ordered index pairs (i, j) to sparse coefficient
@@ -93,73 +114,33 @@ class StructureConstantAlgebra:
 
     # -- elements ---------------------------------------------------------
 
-    def zero(self) -> "TargetElement":
-        return TargetElement(self, {})
+    def zero(self) -> Combination:
+        return Combination(self, {})
 
-    def basis_element(self, label) -> "TargetElement":
-        idx = self._resolve(label)
-        return TargetElement(self, {idx: GaussianRational(1)})
-
-    def element(self, coords: Mapping) -> "TargetElement":
-        out = {}
-        for key, c in coords.items():
-            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
-            if c:
-                out[self._resolve(key)] = c
-        return TargetElement(self, out)
-
-    def _resolve(self, key) -> int:
-        if isinstance(key, str):
-            if key not in self._index:
+    def _key(self, label) -> int:
+        if isinstance(label, str):
+            if label not in self._index:
                 raise KeyError(
-                    f"unknown basis label {key!r} in {self.name} "
+                    f"unknown basis label {label!r} in {self.name} "
                     f"(has {', '.join(self.labels)})"
                 )
-            return self._index[key]
-        idx = int(key)
+            return self._index[label]
+        idx = int(label)
         if not 0 <= idx < self.dim:
             raise KeyError(f"basis index {idx} out of range for {self.name}")
         return idx
 
-    def bracket(self, u: "TargetElement", v: "TargetElement") -> "TargetElement":
+    def bracket(self, u: Combination, v: Combination) -> Combination:
         """Bilinear extension of the structure constants."""
-        if u.algebra is not self or v.algebra is not self:
+        if u.space is not self or v.space is not self:
             raise ValueError("algebra mismatch in bracket")
-        acc: dict = {}
-        for i, ci in u.terms.items():
-            for j, cj in v.terms.items():
-                cij = ci * cj
-                for k, coeff in self._pair(i, j).items():
-                    accumulate(acc, k, cij * coeff)
-        return TargetElement(self, acc)
+        return Combination(self, bilinear(u.terms, v.terms, self._pair))
+
+    def format(self, terms: Mapping) -> str:
+        return format_linear((self.labels[k], terms[k]) for k in sorted(terms))
 
     def __repr__(self):
         return f"{self.name}(dim={self.dim})"
-
-
-class TargetElement(Combination):
-    """An element of a StructureConstantAlgebra as a sparse coefficient vector."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: StructureConstantAlgebra, terms: Mapping):
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def _space(self) -> StructureConstantAlgebra:
-        return self.algebra
-
-    def _like(self, terms: Mapping) -> "TargetElement":
-        """An element of the same algebra with the given coordinates."""
-        return TargetElement(self.algebra, terms)
-
-    def bracket(self, other: "TargetElement") -> "TargetElement":
-        return self.algebra.bracket(self, other)
-
-    def __repr__(self):
-        return format_linear(
-            (self.algebra.labels[k], self.terms[k]) for k in sorted(self.terms)
-        )
 
 
 # -- built-in algebras ---------------------------------------------------------
@@ -279,7 +260,7 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
 
 
 def subalgebra_closure(
-    algebra: StructureConstantAlgebra, gens: Sequence[TargetElement]
+    algebra: StructureConstantAlgebra, gens: Sequence[Combination]
 ) -> Subspace:
     """Smallest bracket-closed subspace containing the generators (zero
     generators allowed; all-zero generators close to the zero subspace)."""
@@ -386,7 +367,7 @@ class ImageAnalysis:
 
 
 def analyze_image(
-    algebra: StructureConstantAlgebra, images: Sequence[TargetElement]
+    algebra: StructureConstantAlgebra, images: Sequence[Combination]
 ) -> ImageAnalysis:
     """Closure and series of the subalgebra generated by ``images`` (zero
     images allowed; all-zero images generate the zero subalgebra)."""
@@ -405,7 +386,8 @@ WITT_CENTRAL = math.inf  # term key of the central element c: after every index
 
 class WittElement(Combination):
     """Finite-support element sum c_k e_k (+ c times the central element in
-    Virasoro mode, under the key WITT_CENTRAL)."""
+    Virasoro mode, under the key WITT_CENTRAL).  Witt and Virasoro elements
+    share one space."""
 
     __slots__ = ()
 
@@ -415,19 +397,8 @@ class WittElement(Combination):
             c = c if isinstance(c, GaussianRational) else parse_scalar(c)
             if c:
                 clean[k if k == WITT_CENTRAL else int(k)] = c
+        self.space = _WITT
         self.terms = clean
-
-    def _space(self) -> str:
-        return "witt"
-
-    def _like(self, terms: Mapping) -> "WittElement":
-        return WittElement(terms)
-
-    def __repr__(self):
-        return format_linear(
-            ("c" if k == WITT_CENTRAL else f"e_{k}", self.terms[k])
-            for k in sorted(self.terms)
-        )
 
 
 def witt_e(k: int, coeff=1) -> WittElement:
@@ -441,27 +412,33 @@ def witt_c(coeff=1) -> WittElement:
 _TWELVE = GaussianRational(12)
 
 
+def _witt_pair(n, m) -> dict:
+    # [e_n, e_m] = (m - n) e_{m+n}; the central element brackets to zero
+    if n == m or WITT_CENTRAL in (n, m):
+        return {}
+    return {n + m: m - n}
+
+
+def _virasoro_pair(n, m) -> dict:
+    rule = _witt_pair(n, m)
+    if rule and n + m == 0:
+        rule[WITT_CENTRAL] = GaussianRational(m**3 - m) / _TWELVE
+    return rule
+
+
 def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> WittElement:
     """[e_n, e_m] = (m - n) e_{m+n}, plus the central cocycle
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
     The central element brackets to zero."""
-    terms: dict = {}
-    for n, cn in u.terms.items():
-        for m, cm in v.terms.items():
-            if n == m or WITT_CENTRAL in (n, m):
-                continue
-            c = cn * cm
-            accumulate(terms, n + m, c * (m - n))
-            if virasoro and n + m == 0:
-                accumulate(terms, WITT_CENTRAL, c * GaussianRational(m**3 - m) / _TWELVE)
-    return WittElement(terms)
+    pair = _virasoro_pair if virasoro else _witt_pair
+    return u._like(bilinear(u.terms, v.terms, pair))
 
 
 _WITT_LABEL = re.compile(r"^e_?(-?\d+)$")
 
 
 @dataclass(frozen=True)
-class WittTarget:
+class WittTarget(_Labelled):
     """The Witt algebra, or its Virasoro extension when the flag is set.
     Basis labels are ``e_<k>`` (or ``e<k>``) and ``c``."""
 
@@ -469,18 +446,6 @@ class WittTarget:
 
     def zero(self) -> WittElement:
         return WittElement()
-
-    def basis_element(self, label: str) -> WittElement:
-        return WittElement({self._key(label): 1})
-
-    def element(self, coords: Mapping) -> WittElement:
-        """Sum of the terms, so aliases such as ``e1`` and ``e_1`` add up."""
-        terms: dict = {}
-        for label, c in coords.items():
-            key = self._key(label)
-            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
-            accumulate(terms, key, c)
-        return WittElement(terms)
 
     def _key(self, label: str):
         if label == "c":
@@ -492,6 +457,14 @@ class WittTarget:
 
     def bracket(self, u: WittElement, v: WittElement) -> WittElement:
         return witt_bracket(u, v, self.virasoro)
+
+    def format(self, terms: Mapping) -> str:
+        return format_linear(
+            ("c" if k == WITT_CENTRAL else f"e_{k}", terms[k]) for k in sorted(terms)
+        )
+
+
+_WITT = WittTarget()  # the space of every WittElement
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,14 @@ def results_of(proc):
     return report["results"]
 
 
+def run_main(*argv):
+    """Run the CLI in this process; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     def write(name, payload):
@@ -187,7 +195,43 @@ class TestVerify:
 
     def test_missing_file(self):
         proc = run_cli("verify", "/nonexistent/morphism.json")
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: cannot read morphism spec: [Errno 2] No such file or "
+            "directory: '/nonexistent/morphism.json'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"n": 1, "target": "sl2", "images": [{"q": "0"}]},
+                "bad image: unknown basis label 'q' in sl(2) (has e, h, f)",
+            ),
+            (
+                {"n": 1, "target": "sl2", "images": [{"e": True}]},
+                "bad image: cannot parse scalar True",
+            ),
+            (
+                {
+                    "n": 1,
+                    "target": {
+                        "custom": {
+                            "basis": ["x", "y", "z"],
+                            "brackets": [{"i": "x", "j": "y", "coords": {"z": True}}],
+                        }
+                    },
+                    "images": [{"x": "1"}],
+                },
+                "bad custom algebra: cannot parse scalar True",
+            ),
+        ],
+        ids=["zero-coefficient-label", "bool-image", "bool-coords"],
+    )
+    def test_input_error_message(self, spec_file, spec, message):
+        code, out, err = run_main("verify", spec_file("bad.json", spec))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_zero_denominator_is_input_error(self, spec_file):
         path = spec_file(
@@ -523,6 +567,15 @@ class TestRealization:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().splitlines() == [
             "error: bad matrix input: each matrix row must be an array"
+        ]
+
+    def test_json_booleans_are_not_scalars(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text("[[true, false], [false, true]]")
+        code, out, err = run_main("realization", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: bad matrix input: cannot parse scalar True"
         ]
 
 

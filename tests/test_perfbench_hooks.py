@@ -1,0 +1,40 @@
+"""The benchmark's traced pass (``perfbench/tracing.py``) patches ymalg
+functions, methods and caches by name.  A refactor that moves a patched
+method into a base class, or deletes one, fails here instead of breaking
+``python3 perfbench/run.py --trace 1``.  Nothing under ``perfbench/`` is
+written: its directory is only put on ``sys.path``, without bytecode."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracing")
+    sys.modules.pop("tracing", None)
+
+
+def test_tracer_installs_and_uninstalls(tracing):
+    mods = {name: importlib.import_module(name) for name in tracing.YMALG_MODULES}
+    algebra = mods["ymalg.targets"].StructureConstantAlgebra
+    bracket = algebra.__dict__["bracket"]
+    functions = {
+        key: getattr(mods[key[0]], key[1]) for key in tracing.FUNCTION_SPANS
+    }
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        assert algebra.__dict__["bracket"] is not bracket
+    finally:
+        tracer.uninstall()
+    assert algebra.__dict__["bracket"] is bracket
+    for (modname, attr), fn in functions.items():
+        assert getattr(mods[modname], attr) is fn
+    tracing.Caches(mods).clear()

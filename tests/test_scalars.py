@@ -107,6 +107,13 @@ def test_zero_denominator_is_value_error():
             parse_scalar(text)
 
 
+def test_booleans_are_not_scalars():
+    # JSON true/false decode to bool, which is an int subclass
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"cannot parse scalar {value}"):
+            parse_scalar(value)
+
+
 def test_format_linear_branches():
     pairs = [
         ("a", parse_scalar("1")),

@@ -43,6 +43,13 @@ class TestSlAlgebra:
         assert sl2.bracket(h, e) == e * 2
         assert sl2.bracket(h, f) == f * (-2)
 
+    def test_element_resolves_zero_coefficient_labels(self):
+        sl2 = sl_algebra(2)
+        with pytest.raises(KeyError, match="unknown basis label 'q' in sl"):
+            sl2.element({"q": "0"})
+        # a label and its index name one basis element, and their terms add up
+        assert sl2.element({"e": "1", 0: "-1"}).is_zero
+
     def test_sl3_defining_brackets(self):
         sl3 = sl_algebra(3)
         E = {k: sl3.basis_element(k) for k in ("E12", "E23", "E13", "E31")}
