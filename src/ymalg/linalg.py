@@ -4,7 +4,10 @@ Rows live as sparse Gaussian-integer vectors (denominators are cleared on
 entry) and elimination is fraction-free: each update is a cross
 multiplication followed by an integer content reduction, so no rational
 division happens until rows are normalized for output.  Pivoting is exact,
-on the first nonzero column of each incoming row.
+on the first nonzero column of each incoming row.  Closures read the
+echelon rows themselves (``Subspace.elements``), which never change once
+stored; the canonical reduced basis is built only on request
+(``Subspace.basis_elements``, ``Echelon.rref``).
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
@@ -78,8 +81,9 @@ class Echelon:
     """Incremental exact row echelon form used for rank and membership."""
 
     def __init__(self):
-        self._rows: dict = {}  # pivot column -> sparse Gaussian-integer row
-        self._basis = None  # reduced_basis(), until the next accepted insert
+        # pivot column -> sparse Gaussian-integer row, in the order accepted;
+        # a stored row never changes
+        self._rows: dict = {}
 
     @property
     def dim(self) -> int:
@@ -102,7 +106,6 @@ class Echelon:
         if not row:
             return False
         self._rows[min(row)] = row
-        self._basis = None
         return True
 
     def contains(self, vec: Mapping) -> bool:
@@ -113,17 +116,15 @@ class Echelon:
         pairs sorted by pivot: leading coefficient 1 and zeros in every other
         pivot column.  Back substitution runs fraction-free over Z[i]; each
         row is divided by its leading entry once, at the end."""
-        if self._basis is None:
-            reduced: dict = {}
-            for pivot in sorted(self._rows, reverse=True):
-                row = self._rows[pivot]
-                # rows in ``reduced`` vanish on every other pivot column, so
-                # clearing one pivot column never refills another
-                for col in [c for c in row if c != pivot and c in reduced]:
-                    row = _eliminate(row, col, reduced[col])
-                reduced[pivot] = row
-            self._basis = [(p, _normalize(reduced[p], p)) for p in sorted(reduced)]
-        return self._basis
+        reduced: dict = {}
+        for pivot in sorted(self._rows, reverse=True):
+            row = self._rows[pivot]
+            # rows in ``reduced`` vanish on every other pivot column, so
+            # clearing one pivot column never refills another
+            for col in [c for c in row if c != pivot and c in reduced]:
+                row = _eliminate(row, col, reduced[col])
+            reduced[pivot] = row
+        return [(p, _normalize(reduced[p], p)) for p in sorted(reduced)]
 
     def rref(self, columns: Sequence) -> list:
         """Dense view of ``reduced_basis``: one Q(i) list per basis row, in
@@ -257,6 +258,15 @@ class Subspace:
         self.zero._require_same(elem)
         return self._ech.contains(elem.terms)
 
+    def elements(self) -> list:
+        """A basis of the span: the echelon rows as elements, in the order
+        they were accepted.  A later ``add`` only appends to this list."""
+        return [
+            self.zero._like({col: from_ints(a, b, 1) for col, (a, b) in row.items()})
+            for row in self._ech._rows.values()
+        ]
+
     def basis_elements(self) -> list:
-        """The canonical reduced basis as elements, sorted by pivot."""
+        """The canonical reduced basis as elements, sorted by pivot; built
+        anew on each call."""
         return [self.zero._like(row) for _, row in self._ech.reduced_basis()]

@@ -125,10 +125,9 @@ class StructureConstantAlgebra(_Labelled):
                     f"(has {', '.join(self.labels)})"
                 )
             return self._index[label]
-        idx = int(label)
-        if not 0 <= idx < self.dim:
-            raise KeyError(f"basis index {idx} out of range for {self.name}")
-        return idx
+        if type(label) is not int or not 0 <= label < self.dim:
+            raise KeyError(f"basis index {label!r} out of range for {self.name}")
+        return label
 
     def bracket(self, u: Combination, v: Combination) -> Combination:
         """Bilinear extension of the structure constants."""
@@ -274,23 +273,18 @@ def _bracket_closure(space: Subspace, bracket, rounds=None) -> Subspace:
     """Add [S, S] to the span S, round after round, until it stops growing
     or ``rounds`` rounds (None: no limit) have run.
 
-    A round brackets only the reduced-basis elements whose pivot is new
-    since the last round, against the older elements and the later new ones.
-    That gives the same span: an old element differs from its predecessor
-    in the previous basis by a combination of new ones, and the brackets of
-    the previous basis are already in the span."""
-    seen: set = set()  # pivots bracketed in earlier rounds
+    A round brackets the echelon rows accepted since the last round against
+    every earlier row and each other.  A stored row never changes, so the
+    brackets of two older rows are already in the span."""
+    done = 0  # rows bracketed in earlier rounds
     while rounds is None or rounds > 0:
-        before = space.dim
-        basis = space.basis_elements()
-        old = [b for b in basis if min(b.terms) in seen]
-        new = [b for b in basis if min(b.terms) not in seen]
-        for i, a in enumerate(new):
-            for b in old + new[i + 1 :]:
-                space.add(bracket(a, b))
-        seen.update(min(b.terms) for b in new)
-        if space.dim == before:
+        rows = space.elements()
+        for i in range(done, len(rows)):
+            for b in rows[:i]:
+                space.add(bracket(rows[i], b))
+        if space.dim == len(rows):
             break
+        done = len(rows)
         rounds = None if rounds is None else rounds - 1
     return space
 
@@ -299,10 +293,10 @@ def _bracket_span(
     algebra: StructureConstantAlgebra, A: Subspace, B: Subspace
 ) -> Subspace:
     """[A, B] as a Subspace; [A, A] brackets each pair of basis elements once."""
-    left = A.basis_elements()
+    left = A.elements()
     span = Subspace(algebra.zero())
     for i, a in enumerate(left):
-        for b in left[i + 1 :] if B is A else B.basis_elements():
+        for b in left[i + 1 :] if B is A else B.elements():
             span.add(algebra.bracket(a, b))
     return span
 
@@ -334,7 +328,7 @@ def series_analysis(
     starts both series."""
     algebra.zero()._require_same(space.zero)  # ValueError on algebra mismatch
     square = _bracket_span(algebra, space, space)
-    if not all(space.contains(x) for x in square.basis_elements()):
+    if not all(space.contains(x) for x in square.elements()):
         raise ValueError("subspace is not bracket-closed")
 
     def descend(step) -> tuple:
@@ -450,7 +444,7 @@ class WittTarget(_Labelled):
     def _key(self, label: str):
         if label == "c":
             return WITT_CENTRAL
-        m = _WITT_LABEL.match(label)
+        m = isinstance(label, str) and _WITT_LABEL.match(label)
         if not m:
             raise KeyError(f"unknown Witt basis name {label!r} (use e_<k> or c)")
         return int(m.group(1))
@@ -504,7 +498,7 @@ def generated_window(
         target.zero(),
         (
             elem._like({k: c for k, c in elem.terms.items() if k in window_keys})
-            for elem in span.basis_elements()
+            for elem in span.elements()
         ),
     )
     return WindowReport(

@@ -52,22 +52,14 @@ def ym_relations(n: int, strong: bool = False) -> YangMillsPresentation:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    x = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
+    grid = strong_relation_elements(n)
     if strong:
-        relators = tuple(
-            bracket(x[i], bracket(x[i], x[j]))
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
+        relators = tuple(elem for (i, j), elem in grid if i != j)
     else:
-        relators = []
-        for j in range(n):
-            r = FreeLieElement.zero(n)
-            for i in range(n):
-                r = r + bracket(x[i], bracket(x[i], x[j]))
-            relators.append(r)
-        relators = tuple(relators)
+        relators = tuple(
+            sum((elem for (_, k), elem in grid if k == j), FreeLieElement.zero(n))
+            for j in range(1, n + 1)
+        )
     return YangMillsPresentation(n=n, strong=strong, relators=relators)
 
 
@@ -95,7 +87,7 @@ def _ideal_component(pres: YangMillsPresentation, d: int) -> Subspace:
                 space.add(r)
     elif d > 3:
         generators = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
-        for elem in _ideal_component(pres, d - 1).basis_elements():
+        for elem in _ideal_component(pres, d - 1).elements():
             for x in generators:
                 space.add(bracket(x, elem))
     return space

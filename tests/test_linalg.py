@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import fraction_rank, rand_scalar
+from oracle_utils import fraction_rank, hilbert_series_dims, rand_scalar
 from ymalg.free_lie import FreeLieElement, lyndon_basis
 from ymalg.linalg import Echelon, Subspace, rank
+from ymalg.morphisms import solvable_image_audit
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
     WITT_CENTRAL,
     WittElement,
+    WittTarget,
+    generated_window,
     heisenberg,
     sl_algebra,
     witt_e,
 )
+from ymalg.ym_quotient import _ideal_component, ym_graded_dims
 
 
 def sparse(row):
@@ -117,13 +121,73 @@ class TestSubspace:
         assert space.basis_elements() == [e, h]
 
     def test_rows_follow_adds(self):
-        # the cached basis is dropped on every accepted add
+        # the canonical basis is built anew from the current rows on each call
         sl2 = sl_algebra(2)
         e, h, f = (sl2.basis_element(k) for k in ("e", "h", "f"))
         space = Subspace(sl2.zero(), [e + f])
         assert space.basis_elements() == [e + f]
         space.add(f)
         assert space.basis_elements() == [e, f]
+
+    def test_elements_span_the_canonical_basis(self):
+        sl3 = sl_algebra(3)
+        rng = random.Random(5)
+        space = Subspace(sl3.zero())
+        for _ in range(6):
+            space.add(sl3.element({lab: rand_scalar(rng, 2) for lab in sl3.labels[:5]}))
+        rows, basis = space.elements(), space.basis_elements()
+        assert len(rows) == len(basis) == space.dim == 5
+        assert all(space.contains(r) for r in rows)
+        assert all(Subspace(sl3.zero(), rows).contains(b) for b in basis)
+        assert Subspace(sl3.zero(), basis).dim == space.dim
+
+    def test_elements_are_independent(self):
+        sl2 = sl_algebra(2)
+        e, h, f = (sl2.basis_element(k) for k in ("e", "h", "f"))
+        space = Subspace(sl2.zero(), [e + h, e * 2 + h * 2, h - f, e + f * GR(0, 1)])
+        rows = space.elements()
+        assert len(rows) == space.dim == 3
+        fresh = Subspace(sl2.zero())
+        assert all(fresh.add(r) for r in rows)
+
+    def test_elements_only_grow_at_the_end(self):
+        # the closures bracket only the rows past the ones they have seen
+        sl3 = sl_algebra(3)
+        rng = random.Random(8)
+        space = Subspace(sl3.zero())
+        seen: list = []
+        for _ in range(12):
+            labels = rng.sample(sl3.labels, 2)
+            space.add(sl3.element({lab: rand_scalar(rng, 2) for lab in labels}))
+            rows = space.elements()
+            assert rows[: len(seen)] == seen
+            assert len(rows) == space.dim
+            seen = rows
+
+
+def test_library_never_builds_reduced_basis(monkeypatch):
+    """Ideal closure, subalgebra closure with its series, and the Witt
+    window read echelon rows; none builds the canonical reduced basis."""
+    gens = [witt_e(-1) + witt_e(2), witt_e(3)]
+
+    def run():
+        _ideal_component.cache_clear()
+        return (
+            ym_graded_dims(3, 6).dims,
+            ym_graded_dims(3, 6, strong=True).dims,
+            generated_window(WittTarget(True), gens, depth=4, window=3),
+            solvable_image_audit(20, 0),
+        )
+
+    expected = run()
+    assert expected[0] == tuple(hilbert_series_dims(3, 6))
+    assert expected[1] == (3, 3, 2, 3, 3, 2)
+
+    def refuse(self):
+        raise AssertionError("the canonical reduced basis was built")
+
+    monkeypatch.setattr(Echelon, "reduced_basis", refuse)
+    assert run() == expected
 
 
 # -- the shared element arithmetic ---------------------------------------------

@@ -50,6 +50,14 @@ class TestSlAlgebra:
         # a label and its index name one basis element, and their terms add up
         assert sl2.element({"e": "1", 0: "-1"}).is_zero
 
+    @pytest.mark.parametrize("label", [1.7, 2.9, True, False, -1, 3, None, 1.0])
+    def test_only_labels_and_int_indices_name_basis_elements(self, label):
+        sl2 = sl_algebra(2)
+        with pytest.raises(KeyError):
+            sl2.element({label: "1"})
+        with pytest.raises(KeyError):
+            sl2.basis_element(label)
+
     def test_sl3_defining_brackets(self):
         sl3 = sl_algebra(3)
         E = {k: sl3.basis_element(k) for k in ("E12", "E23", "E13", "E31")}
@@ -296,7 +304,9 @@ class TestWittTarget:
         )
         assert WITT.element({}) == WITT.zero()
 
-    @pytest.mark.parametrize("label", ["x_1", "e", "e_", "e_1.5", "C", "f_2"])
+    @pytest.mark.parametrize(
+        "label", ["x_1", "e", "e_", "e_1.5", "C", "f_2", 5, None, 1.0, True]
+    )
     def test_unknown_label(self, label):
         with pytest.raises(KeyError) as info:
             WITT.basis_element(label)

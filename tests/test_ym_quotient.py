@@ -239,7 +239,9 @@ class TestTables:
         assert not z.contains(bracket(*gens(3)[:2]))
 
 
-@pytest.mark.parametrize("n, max_degree", [(2, 10), (3, 7), (4, 6), (5, 5), (6, 5)])
+@pytest.mark.parametrize(
+    "n, max_degree", [(2, 10), (3, 7), (3, 9), (4, 6), (5, 5), (6, 5)]
+)
 def test_weak_dims_match_hilbert_series(n, max_degree):
     assert list(ym_graded_dims(n, max_degree).dims) == hilbert_series_dims(
         n, max_degree
