@@ -186,6 +186,12 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _args_digest(args, *names) -> str:
+    """Digest of the named arguments, as sorted JSON."""
+    payload = {name: getattr(args, name) for name in names}
+    return _digest(json.dumps(payload, sort_keys=True).encode())
+
+
 def _report(echo: str, seed, digest: str, results: dict) -> str:
     """The JSON report: rerunning the echoed command with the same seed
     reproduces it byte for byte, so timing goes to stderr instead."""
@@ -208,12 +214,7 @@ def _cmd_dims(args, echo):
     if args.format == "csv":
         sys.stdout.write(dims_table_csv(rows))
         return None, 0
-    digest = _digest(
-        json.dumps(
-            {"n": args.n, "max_degree": args.max_degree, "strong": args.strong},
-            sort_keys=True,
-        ).encode()
-    )
+    digest = _args_digest(args, "n", "max_degree", "strong")
     results = {
         "n": args.n,
         "strong": args.strong,
@@ -223,27 +224,31 @@ def _cmd_dims(args, echo):
     return _report(echo, None, digest, results), 0
 
 
-def _image_results(target, images, args) -> dict:
-    """Image report shared by verify and pair: closure dimension and series
-    for finite targets, window coverage for Witt/Virasoro."""
-    if isinstance(target, StructureConstantAlgebra):
-        image = analyze_image(target, images)
-        return {
-            "image_dim": image.image_dim,
-            "solvable": image.is_solvable,
-            "nilpotent": image.is_nilpotent,
-            "surjective": image.is_surjective,
-        }
-    window = generated_window(target, images, depth=args.depth, window=args.window)
-    return {
-        "window": {
+def _morphism_report(args, echo, digest, phi, images, results, strong=False):
+    """The report shared by verify and pair: ``results`` plus the relator
+    residuals of ``phi`` and what ``images`` generate, as closure dimension
+    and series for a finite target or window coverage for Witt/Virasoro.
+    Exit code 1 when a residual is nonzero."""
+    residuals = phi.relation_residuals(strong)
+    residuals_zero = all(r.is_zero for r in residuals)
+    results["residuals_zero"] = residuals_zero
+    results["residuals"] = [str(r) for r in residuals]
+    if isinstance(phi.target, StructureConstantAlgebra):
+        image = analyze_image(phi.target, images)
+        results["image_dim"] = image.image_dim
+        results["solvable"] = image.is_solvable
+        results["nilpotent"] = image.is_nilpotent
+        results["surjective"] = image.is_surjective
+    else:
+        window = generated_window(phi.target, images, args.depth, args.window)
+        results["window"] = {
             "depth": window.depth,
             "window": window.window,
             "covered": list(window.covered),
             "covers_window": window.covers_window(),
             "central_covered": window.central_covered,
         }
-    }
+    return _report(echo, None, digest, results), 0 if residuals_zero else 1
 
 
 def _cmd_verify(args, echo):
@@ -253,20 +258,15 @@ def _cmd_verify(args, echo):
     except json.JSONDecodeError as exc:
         raise CliInputError(f"malformed JSON in {args.spec}: {exc}") from None
     phi = morphism_from_json(data)
-    residuals = phi.relation_residuals(strong=args.strong)
-    residuals_zero = all(r.is_zero for r in residuals)
     results = {
         "n": phi.n,
         "strong": args.strong,
-        "residuals_zero": residuals_zero,
-        "residuals": [str(r) for r in residuals],
-        "image_dim": None,
-        "solvable": None,
-        "nilpotent": None,
-        "surjective": None,
+        # a Witt/Virasoro target leaves these null
+        **dict.fromkeys(("image_dim", "solvable", "nilpotent", "surjective")),
     }
-    results.update(_image_results(phi.target, phi.images, args))
-    return _report(echo, None, _digest(raw), results), 0 if residuals_zero else 1
+    return _morphism_report(
+        args, echo, _digest(raw), phi, phi.images, results, args.strong
+    )
 
 
 def _cmd_case_study(args, echo):
@@ -275,12 +275,7 @@ def _cmd_case_study(args, echo):
     branches = (
         ("nilpotent", "semisimple") if args.branch == "both" else (args.branch,)
     )
-    digest = _digest(
-        json.dumps(
-            {"branch": args.branch, "samples": args.samples, "seed": args.seed},
-            sort_keys=True,
-        ).encode()
-    )
+    digest = _args_digest(args, "branch", "samples", "seed")
     mismatches = {
         branch: case_oracle_mismatches(args.samples, args.seed, branch)
         for branch in branches
@@ -321,26 +316,11 @@ def _cmd_pair(args, echo):
     else:
         a = parse_element(target, args.a)
         b = parse_element(target, args.b)
-    phi = pair_to_ym4_morphism(target, a, b)
-    residuals = phi.relation_residuals()
-    residuals_zero = all(r.is_zero for r in residuals)
-    digest = _digest(
-        json.dumps(
-            {"target": args.target, "a": args.a, "b": args.b,
-             "virasoro": args.virasoro, "depth": args.depth,
-             "window": args.window},
-            sort_keys=True,
-        ).encode()
+    digest = _args_digest(args, "target", "a", "b", "virasoro", "depth", "window")
+    results = {"target": args.target, "a": str(a), "b": str(b)}
+    return _morphism_report(
+        args, echo, digest, pair_to_ym4_morphism(target, a, b), (a, b), results
     )
-    results = {
-        "target": args.target,
-        "a": str(a),
-        "b": str(b),
-        "residuals_zero": residuals_zero,
-        "residuals": [str(r) for r in residuals],
-    }
-    results.update(_image_results(target, (a, b), args))
-    return _report(echo, None, digest, results), 0 if residuals_zero else 1
 
 
 def _cmd_realization(args, echo):

@@ -53,8 +53,8 @@ class LyndonWord(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[int]):
-        w = tuple(int(x) for x in letters)
-        if any(x < 1 for x in w):
+        w = tuple(letters)
+        if any(type(x) is not int or x < 1 for x in w):
             raise ValueError("letters are 1-based positive integers")
         if not is_lyndon(w):
             raise ValueError(f"{w} is not a Lyndon word")

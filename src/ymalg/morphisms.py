@@ -48,11 +48,9 @@ class GeneratorMorphism:
         self.n = n
         self.target = target
         self.images = tuple(images)
-        # Lyndon word -> image, shared by the evaluations of one
-        # relation_residuals call and dropped after it: the sl(2) audit holds
-        # all its candidates at once, and a memo kept for the morphism's
-        # lifetime raised that run's peak RSS from 22.1 to 26.0 MB
-        self._shared_words = None
+        # Lyndon word -> image, kept for the morphism's lifetime: the
+        # relators have low-degree words in common, each bracketed once
+        self._words: dict = {}
 
     def evaluate(self, a: FreeLieElement):
         """Image of ``a``: each Lyndon word is replaced by its standard
@@ -62,7 +60,7 @@ class GeneratorMorphism:
                 f"element uses {a.n} generators, morphism has {self.n}"
             )
         br = self.target.bracket
-        memo = {} if self._shared_words is None else self._shared_words
+        memo = self._words
 
         def eval_word(w: tuple):
             if len(w) == 1:
@@ -89,13 +87,8 @@ class GeneratorMorphism:
         if strong:
             elements = [elem for _, elem in strong_relation_elements(self.n)]
         else:
-            elements = list(ym_relations(self.n).relators)
-        # the relators have low-degree words in common: bracket each once
-        self._shared_words = {}
-        try:
-            return [self.evaluate(r) for r in elements]
-        finally:
-            self._shared_words = None
+            elements = ym_relations(self.n).relators
+        return [self.evaluate(r) for r in elements]
 
     def residuals_vanish(self, strong: bool = False) -> bool:
         return all(r.is_zero for r in self.relation_residuals(strong))
@@ -375,18 +368,13 @@ def case_oracle_mismatches(samples: int, seed: int, branch: str) -> int:
     return mismatches
 
 
-def solvable_image_audit(samples: int, seed: int) -> AuditReport:
-    """Generate candidate morphisms ym(3) -> sl(2) (random images plus the
-    targeted residual-zero families and the non-nilpotent example); for every
-    candidate with vanishing residuals, check that the image is solvable."""
-    if samples < 1:
-        raise ValueError("need samples >= 1")
+def _audit_candidates(samples: int, seed: int):
+    """The audit's candidate morphisms, drawn one at a time: the
+    non-nilpotent example, the zero map, then one per sample."""
     sl2 = sl_algebra(2)
     e, h, f = (sl2.basis_element(lab) for lab in ("e", "h", "f"))
-    candidates = [
-        solvable_non_nilpotent_example(),
-        GeneratorMorphism(3, sl2, [sl2.zero()] * 3),
-    ]
+    yield solvable_non_nilpotent_example()
+    yield GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
     for k in range(samples):
         rng = random.Random(f"{seed}:audit:{k}")
         branch = rng.choice(_BRANCHES)
@@ -397,7 +385,7 @@ def solvable_image_audit(samples: int, seed: int) -> AuditReport:
                 e * _rand_scalar(rng) + h * _rand_scalar(rng) + f * _rand_scalar(rng)
                 for _ in range(3)
             ]
-            candidates.append(GeneratorMorphism(3, sl2, images))
+            yield GeneratorMorphism(3, sl2, images)
         else:
             p = sample_case_parameters(rng, branch)
             phi = assemble_sl2_morphism(p)
@@ -408,27 +396,31 @@ def solvable_image_audit(samples: int, seed: int) -> AuditReport:
                 phi = GeneratorMorphism(
                     3, sl2, [img * lam for img in phi.images]
                 )
-            candidates.append(phi)
+            yield phi
 
+
+def solvable_image_audit(samples: int, seed: int) -> AuditReport:
+    """Generate candidate morphisms ym(3) -> sl(2) (random images plus the
+    targeted residual-zero families and the non-nilpotent example); for every
+    candidate with vanishing residuals, check that the image is solvable."""
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     # only residual-zero candidates need their image analysed; candidate 0,
     # the non-nilpotent example, is one of them
-    images = {
-        idx: analyze_image(sl2, phi.images)
-        for idx, phi in enumerate(candidates)
-        if phi.residuals_vanish()
-    }
+    images, violations = [], []
+    for idx, phi in enumerate(_audit_candidates(samples, seed)):
+        if phi.residuals_vanish():
+            images.append(analyze_image(phi.target, phi.images))
+            if not images[-1].is_solvable:
+                violations.append(f"candidate {idx}: {phi!r}")
     example = images[0]
     return AuditReport(
         samples=samples,
         seed=seed,
-        candidates=len(candidates),
+        candidates=idx + 1,
         residual_zero=len(images),
-        non_residual_zero=len(candidates) - len(images),
-        solvable_violations=tuple(
-            f"candidate {idx}: {candidates[idx]!r}"
-            for idx, image in images.items()
-            if not image.is_solvable
-        ),
+        non_residual_zero=idx + 1 - len(images),
+        solvable_violations=tuple(violations),
         non_nilpotent_example=MorphismAnalysis(
             True, example.image_dim, example.is_solvable, example.is_nilpotent
         ),

@@ -28,15 +28,15 @@ class GaussianRational:
     """An element ``(a + b*i) / d`` of Q(i) with arbitrary-precision ints.
 
     The constructor takes the real and imaginary parts as ``int``s or
-    ``Fraction``s (or anything ``Fraction`` accepts); ``re`` and ``im`` read
-    them back as ``Fraction``s.
+    ``Fraction``s; a ``float`` or ``bool`` part raises TypeError.  ``re``
+    and ``im`` read them back as ``Fraction``s.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        re = re if type(re) is Fraction else Fraction(re)
-        im = im if type(im) is Fraction else Fraction(im)
+        re = re if type(re) is Fraction else _exact(re)
+        im = im if type(im) is Fraction else _exact(im)
         q, s = re.denominator, im.denominator
         d = q * s // gcd(q, s)
         # parts in lowest terms over their lcm already have gcd(a, b, d) == 1
@@ -82,7 +82,7 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, int):
+            if type(other) is int:
                 return from_ints(self._a * other, self._b * other, self._d)
             other = _coerce(other)
             if other is NotImplemented:
@@ -197,10 +197,17 @@ def clear_denominators(values: Mapping) -> dict:
     return out
 
 
+def _exact(part) -> Fraction:
+    # a float part would bring a binary rounding error into Q(i)
+    if isinstance(part, (float, bool)):
+        raise TypeError(f"a part of a Q(i) scalar cannot be a {type(part).__name__}")
+    return Fraction(part)
+
+
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return GaussianRational(value)
     return NotImplemented
 

@@ -54,8 +54,9 @@ class StructureConstantAlgebra(_Labelled):
     """A finite-dimensional Lie algebra over Q(i) by basis and constants.
 
     ``brackets`` maps ordered index pairs (i, j) to sparse coefficient
-    vectors {k: scalar} for [b_i, b_j].  Antisymmetric completion is applied;
-    conflicting (i, j)/(j, i) entries or a Jacobi failure raise ValueError.
+    vectors {k: scalar} for [b_i, b_j].  Antisymmetric completion is applied:
+    the table holds both orientations of every given pair.  Conflicting
+    (i, j)/(j, i) entries or a Jacobi failure raise ValueError.
     """
 
     def __init__(self, basis_labels: Sequence[str], brackets: Mapping, name: str = ""):
@@ -76,12 +77,12 @@ class StructureConstantAlgebra(_Labelled):
                 if coords:
                     raise ValueError(f"[b_{i}, b_{i}] must vanish")
                 continue
-            key, flip = ((i, j), False) if i < j else ((j, i), True)
-            if flip:
-                coords = {k: -c for k, c in coords.items()}
-            if key in table and table[key] != coords:
-                raise ValueError(f"antisymmetry conflict on pair {key}")
-            table[key] = coords
+            if table.get((i, j), coords) != coords:
+                raise ValueError(
+                    f"antisymmetry conflict on pair {(min(i, j), max(i, j))}"
+                )
+            table[(i, j)] = coords
+            table[(j, i)] = {k: -c for k, c in coords.items()}
         self._table = table
         self._check_jacobi()
 
@@ -90,11 +91,7 @@ class StructureConstantAlgebra(_Labelled):
         return len(self.labels)
 
     def _pair(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        return {k: -c for k, c in self._table.get((j, i), {}).items()}
+        return self._table.get((i, j), {})
 
     def _check_jacobi(self):
         m = self.dim
@@ -388,9 +385,11 @@ class WittElement(Combination):
     def __init__(self, terms: Mapping | None = None):
         clean = {}
         for k, c in (terms or {}).items():
+            if type(k) is not int and k != WITT_CENTRAL:
+                raise KeyError(f"Witt key {k!r} is neither an int nor WITT_CENTRAL")
             c = c if isinstance(c, GaussianRational) else parse_scalar(c)
             if c:
-                clean[k if k == WITT_CENTRAL else int(k)] = c
+                clean[k] = c
         self.space = _WITT
         self.terms = clean
 

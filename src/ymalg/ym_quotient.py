@@ -117,8 +117,6 @@ def ym_dim(
 
     Degrees 1 and 2 are untouched by the degree-3 relators.
     """
-    if d < 3:
-        return free_lie_dim(n, d)
     pres = ym_relations(n, strong)
     return free_lie_dim(n, d) - ideal_graded_component(pres, d, degree_cap).dim
 
@@ -155,15 +153,10 @@ def ideal_membership_by_degree(
     """Per-degree ideal membership of the homogeneous parts of ``a``."""
     if a.n != pres.n:
         raise ValueError("generator count mismatch")
-    out = {}
-    for d in a.degrees():
-        _check_cap(d, degree_cap)
-        part = a.homogeneous_part(d)
-        if d < 3:
-            out[d] = part.is_zero
-        else:
-            out[d] = ideal_graded_component(pres, d, degree_cap).contains(part)
-    return out
+    return {
+        d: ideal_graded_component(pres, d, degree_cap).contains(a.homogeneous_part(d))
+        for d in a.degrees()
+    }
 
 
 # -- dimension tables ---------------------------------------------------------
@@ -183,7 +176,7 @@ def dims_table(
     rows = []
     for d in range(1, max_degree + 1):
         free = free_lie_dim(n, d)
-        ideal = ideal_graded_component(pres, d, degree_cap).dim if d >= 3 else 0
+        ideal = ideal_graded_component(pres, d, degree_cap).dim
         rows.append(
             {
                 "degree": d,

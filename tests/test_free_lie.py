@@ -83,6 +83,10 @@ class TestLyndonWord:
             LyndonWord(())
         with pytest.raises(ValueError):
             LyndonWord((0, 1))
+        # letters are ints, not truncated through int()
+        for letters in ((1.9, 2), (1.0, 2), (True, 2), (1, "2")):
+            with pytest.raises(ValueError, match="1-based positive integers"):
+                LyndonWord(letters)
 
     def test_repr(self):
         assert repr(LyndonWord((1, 1, 2))) == "⟨1,1,2⟩"

@@ -22,6 +22,7 @@ from ymalg.morphisms import (
 )
 from ymalg.scalars import GaussianRational as GR, I, ONE
 from ymalg.targets import (
+    ImageAnalysis,
     StructureConstantAlgebra,
     WittTarget,
     sl_algebra,
@@ -106,7 +107,11 @@ class TestEvaluate:
             return original(self, u, v)
 
         monkeypatch.setattr(StructureConstantAlgebra, "bracket", counted)
-        assert GeneratorMorphism(3, sl2, images).relation_residuals() == separate
+        phi = GeneratorMorphism(3, sl2, images)
+        assert phi.relation_residuals() == separate
+        assert len(calls) == 9
+        # the word images live as long as the morphism: no bracket is redone
+        assert [phi.evaluate(r) for r in ym_relations(3).relators] == separate
         assert len(calls) == 9
 
     def test_image_arity_checked(self):
@@ -342,6 +347,23 @@ class TestAudit:
         assert report.non_residual_zero > 0  # random candidates got filtered
         assert report.candidates == report.residual_zero + report.non_residual_zero
         assert not report.non_nilpotent_example.is_nilpotent
+
+    def test_audit_reports_each_violation(self, monkeypatch):
+        # no image is really non-solvable, so a stub reports every
+        # residual-zero candidate as one; each is named by index and images
+        import ymalg.morphisms as morphisms
+
+        stub = ImageAnalysis(0, False, False, False)
+        monkeypatch.setattr(morphisms, "analyze_image", lambda alg, gens: stub)
+        report = solvable_image_audit(30, 5)
+        assert report.candidates == 32
+        assert len(report.solvable_violations) == report.residual_zero >= 2
+        assert report.solvable_violations[:2] == (
+            "candidate 0: GeneratorMorphism(x_1 -> h, x_2 -> e, x_3 -> i*h)",
+            "candidate 1: GeneratorMorphism(x_1 -> 0, x_2 -> 0, x_3 -> 0)",
+        )
+        indices = [int(v.split()[1][:-1]) for v in report.solvable_violations]
+        assert indices == sorted(set(indices))
 
     def test_audit_seeded_reproducibility(self):
         a = solvable_image_audit(40, 11)

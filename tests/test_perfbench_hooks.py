@@ -38,3 +38,20 @@ def test_tracer_installs_and_uninstalls(tracing):
     for (modname, attr), fn in functions.items():
         assert getattr(mods[modname], attr) is fn
     tracing.Caches(mods).clear()
+
+
+def test_audit_records_residual_spans(tracing):
+    # the audit's residual evaluation must stay visible to the per-layer
+    # counters: morphisms.evaluate and targets.bracket under morphisms.audit
+    mods = {name: importlib.import_module(name) for name in tracing.YMALG_MODULES}
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        report = mods["ymalg.morphisms"].solvable_image_audit(5, 0)
+    finally:
+        tracer.uninstall()
+    totals = tracer.span_totals()
+    for name in ("morphisms.audit", "morphisms.evaluate", "targets.bracket"):
+        assert totals[name][0] > 0, name
+    assert totals["morphisms.audit"][0] == 1
+    assert tracer.counts["audit_candidates"] == report.candidates == 7

@@ -112,6 +112,18 @@ def test_booleans_are_not_scalars():
     for value in (True, False):
         with pytest.raises(ValueError, match=f"cannot parse scalar {value}"):
             parse_scalar(value)
+    # the constructor takes no bool and no float part: GaussianRational(0.1)
+    # would be 3602879701896397/36028797018963968
+    for value in (True, False, 0.1, 1.0):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            GaussianRational(value)
+        with pytest.raises(TypeError, match=type(value).__name__):
+            GaussianRational(0, value)
+    # and a bool is no operand: it equals no scalar, adds to and multiplies none
+    assert GaussianRational(1) != True  # noqa: E712
+    for op in (lambda x: x + True, lambda x: x * True, lambda x: True * x):
+        with pytest.raises(TypeError):
+            op(GaussianRational(2))
 
 
 def test_format_linear_branches():

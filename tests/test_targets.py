@@ -16,6 +16,7 @@ from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
     StructureConstantAlgebra,
     WittElement,
+    WITT_CENTRAL,
     WittTarget,
     algebra_from_json,
     generated_window,
@@ -156,6 +157,18 @@ class TestBracketIn:
             u = e * rand_scalar(rng) + h * rand_scalar(rng) + f * rand_scalar(rng)
             assert sl2.bracket(u, u).is_zero
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: sl_algebra(2), lambda: sl_algebra(3), heisenberg],
+        ids=["sl2", "sl3", "heisenberg"],
+    )
+    def test_reversed_pairs_negate(self, make):
+        algebra = make()
+        basis = [algebra.basis_element(lab) for lab in algebra.labels]
+        for i, u in enumerate(basis):
+            for v in basis[i:]:
+                assert algebra.bracket(v, u) == -algebra.bracket(u, v)
+
     def test_algebra_mismatch(self):
         sl2, e, _, _ = sl2_elems()
         h1 = heisenberg()
@@ -187,6 +200,10 @@ class TestConstructionValidation:
             },
         )
         assert alg.dim == 3
+        a, b, c = (alg.basis_element(lab) for lab in "abc")
+        # only the reversed pair (2, 0) was given
+        assert alg.bracket(c, a) == b
+        assert alg.bracket(a, c) == -b
 
     def test_antisymmetry_conflict(self):
         with pytest.raises(ValueError, match="antisymmetry"):
@@ -262,6 +279,13 @@ class TestWitt:
         assert vir == witt_e(0) * (-4) + witt_c(GR(Fraction(-1, 2)))
         assert witt_bracket(witt_e(5), witt_c()).is_zero
         assert witt_bracket(witt_e(2), witt_e(-2)) == witt_e(0) * (-4)
+
+    @pytest.mark.parametrize("key", [1.7, 1.0, True, "1", None])
+    def test_keys_are_ints_or_central(self, key):
+        # a float or bool key is not truncated to e_1
+        with pytest.raises(KeyError, match="neither an int nor WITT_CENTRAL"):
+            WittElement({key: "1"})
+        assert WittElement({1: "1", WITT_CENTRAL: "2"}) == witt_e(1) + witt_c(2)
 
     def test_central_is_central(self):
         rng = random.Random(4)
