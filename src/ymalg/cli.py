@@ -5,43 +5,20 @@ Output is a self-contained JSON report on stdout (byte-identical across
 reruns with the same command and seed; timing goes to stderr for that
 reason).  Exit codes: 0 = verified/clean, 1 = mathematical failure
 (nonzero residual, audit violation), 2 = input error.
+
+Each subcommand imports the library modules it runs when it runs, so a
+process loads only those (``dims`` never loads ``targets``, ``realization``
+never loads ``free_lie``).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import shlex
 import sys
 import time
-
-from .kac_moody import (
-    MatrixData,
-    build_realization,
-    is_generalized_cartan,
-    realization_to_json,
-    verify_realization,
-    ym_quotient_bound,
-)
-from .morphisms import (
-    GeneratorMorphism,
-    case_oracle_mismatches,
-    pair_to_ym4_morphism,
-    solvable_image_audit,
-)
-from .scalars import parse_scalar
-from .targets import (
-    StructureConstantAlgebra,
-    WittTarget,
-    algebra_from_json,
-    analyze_image,
-    generated_window,
-    heisenberg,
-    sl_algebra,
-)
-from .ym_quotient import dims_table, dims_table_csv
 
 
 class CliInputError(ValueError):
@@ -50,16 +27,18 @@ class CliInputError(ValueError):
 
 # -- element and target parsing --------------------------------------------------
 
-_SL_TARGET = re.compile(r"^sl\(?(\d+)\)?$")
+_SL_TARGET = re.compile(r"sl([0-9]+)|sl\(([0-9]+)\)")
 # building sl(m) checks Jacobi on every basis triple, which grows like m^6
 # (about 2 s for m = 12 on a 2-vCPU VM)
 MAX_SL_SIZE = 12
 
 
 def resolve_target(name: str):
-    m = _SL_TARGET.match(name.strip().lower())
+    from .targets import WittTarget, heisenberg, sl_algebra
+
+    m = _SL_TARGET.fullmatch(name.strip().lower())
     if m:
-        size = int(m.group(1))
+        size = int(m.group(1) or m.group(2))
         if not 2 <= size <= MAX_SL_SIZE:
             raise CliInputError(f"sl({size}) needs 2 <= size <= {MAX_SL_SIZE}")
         return sl_algebra(size)
@@ -93,6 +72,8 @@ def _basis_by_name(target, name: str):
 def parse_element(target, text: str):
     """Parse shortcuts like "e", "E12", "e_-2", and sums with optional
     scalar coefficients: "E12+E23", "i*h", "(1+2i)*e - f"."""
+    from .scalars import parse_scalar
+
     s = text.replace(" ", "")
     if not s:
         raise CliInputError("empty element expression")
@@ -144,6 +125,9 @@ def _read_input(path: str, what: str) -> bytes:
 
 def morphism_from_json(data) -> GeneratorMorphism:
     """The morphism of a decoded spec {"n", "target", "images"}."""
+    from .morphisms import GeneratorMorphism
+    from .targets import algebra_from_json
+
     if not isinstance(data, dict) or "n" not in data or "images" not in data:
         raise CliInputError('morphism spec needs "n", "target" and "images"')
     n, images_spec = data["n"], data["images"]
@@ -183,6 +167,8 @@ def morphism_from_json(data) -> GeneratorMorphism:
 
 
 def _digest(payload: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -208,6 +194,8 @@ def _report(echo: str, seed, digest: str, results: dict) -> str:
 
 
 def _cmd_dims(args, echo):
+    from .ym_quotient import dims_table, dims_table_csv
+
     if args.n < 1:
         raise CliInputError("need --n >= 1")
     rows = dims_table(args.n, args.max_degree, args.strong)
@@ -229,6 +217,8 @@ def _morphism_report(args, echo, digest, phi, images, results, strong=False):
     residuals of ``phi`` and what ``images`` generate, as closure dimension
     and series for a finite target or window coverage for Witt/Virasoro.
     Exit code 1 when a residual is nonzero."""
+    from .targets import StructureConstantAlgebra, analyze_image, generated_window
+
     residuals = phi.relation_residuals(strong)
     residuals_zero = all(r.is_zero for r in residuals)
     results["residuals_zero"] = residuals_zero
@@ -270,6 +260,8 @@ def _cmd_verify(args, echo):
 
 
 def _cmd_case_study(args, echo):
+    from .morphisms import case_oracle_mismatches, solvable_image_audit
+
     if args.samples < 1:
         raise CliInputError("need --samples >= 1")
     branches = (
@@ -304,6 +296,9 @@ def _cmd_case_study(args, echo):
 
 
 def _cmd_pair(args, echo):
+    from .morphisms import pair_to_ym4_morphism
+    from .targets import WittTarget
+
     target = resolve_target(args.target)
     if isinstance(target, WittTarget):
         target = WittTarget(target.virasoro or args.virasoro)
@@ -324,6 +319,15 @@ def _cmd_pair(args, echo):
 
 
 def _cmd_realization(args, echo):
+    from .kac_moody import (
+        MatrixData,
+        build_realization,
+        is_generalized_cartan,
+        realization_to_json,
+        verify_realization,
+        ym_quotient_bound,
+    )
+
     raw = _read_input(args.matrix, "matrix file")
     try:
         A = MatrixData.from_json(raw.decode())

@@ -16,10 +16,9 @@ morphism target; ``bracket`` is ``linalg.bilinear`` over that recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Combination, bilinear
+from .linalg import Combination, Value, bilinear
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 DEFAULT_DEGREE_CAP = 12
@@ -190,12 +189,14 @@ def clear_caches() -> None:
 # -- elements ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeTarget:
+class FreeTarget(Value):
     """The free Lie algebra f(m): the space of its elements, and a morphism
     target."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self._set(m)
 
     def zero(self) -> "FreeLieElement":
         return FreeLieElement.zero(self.m)
@@ -299,16 +300,15 @@ def scalar_combine(
     return out
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Value):
     """Per-degree dimensions of a graded subquotient of f(n), degrees 1..D."""
 
-    n: int
-    dims: tuple
+    __slots__ = ("n", "dims")
 
-    def __post_init__(self):
-        for k, dim in enumerate(self.dims, start=1):
-            cap = free_lie_dim(self.n, k)
+    def __init__(self, n: int, dims: tuple):
+        self._set(n, dims)
+        for k, dim in enumerate(dims, start=1):
+            cap = free_lie_dim(n, k)
             if not 0 <= dim <= cap:
                 raise ValueError(
                     f"degree {k}: dimension {dim} outside 0..{cap}"

@@ -9,9 +9,7 @@ out of scope; only the finite realization is built.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import Echelon, rank
 from .scalars import GaussianRational, parse_scalar
@@ -20,8 +18,7 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-@dataclass(frozen=True)
-class MatrixData:
+class MatrixData(NamedTuple):
     """A square matrix over Q(i) together with its exact rank."""
 
     m: int
@@ -46,6 +43,8 @@ class MatrixData:
 
     @classmethod
     def from_json(cls, data) -> "MatrixData":
+        import json
+
         if isinstance(data, str):
             data = json.loads(data)
         if isinstance(data, dict):
@@ -58,8 +57,7 @@ class MatrixData:
         return [[str(c) for c in row] for row in self.entries]
 
 
-@dataclass(frozen=True)
-class GcmCheck:
+class GcmCheck(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -94,8 +92,7 @@ def is_generalized_cartan(A: MatrixData) -> GcmCheck:
     return GcmCheck(True, None)
 
 
-@dataclass(frozen=True)
-class RealizationOfMatrix:
+class RealizationOfMatrix(NamedTuple):
     """A realization of an m x m matrix: roots as rows of ``pi`` (coordinates
     on h*), coroots as rows of ``pi_check`` (coordinates on h), with
     dim h = 2m - r and pairing <alpha_i-check, alpha_j> = a_ij exactly."""

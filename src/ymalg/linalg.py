@@ -17,7 +17,8 @@ vector-space arithmetic; the space renders it with ``space.format(terms)``.
 ``bilinear`` is the one bracket loop: the bilinear extension of a rule for
 a pair of basis keys.  ``Subspace`` wraps an Echelon around the span of
 Combinations of one ambient space; ideal components, subalgebra closures,
-series terms and Witt windows are all Subspaces.
+series terms and Witt windows are all Subspaces.  ``Value`` is the base of
+the small immutable types with value equality, such as the spaces.
 """
 
 from __future__ import annotations
@@ -165,6 +166,41 @@ def bilinear(u_terms: Mapping, v_terms: Mapping, pair) -> dict:
                 for k, coeff in rule.items():
                     accumulate(out, k, c * coeff)
     return out
+
+
+class Value:
+    """An immutable value whose fields are its ``__slots__``: ``__init__``
+    sets them once through ``_set``; equal to an instance of the same class
+    with equal fields, hashed by the fields, shown as ``Name(field=...)``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class Combination:

@@ -18,12 +18,11 @@ other exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .free_lie import FreeLieElement, FreeTarget, standard_factorization
-from .linalg import Combination
+from .linalg import Combination, Value
 from .scalars import GaussianRational, parse_scalar
 from .targets import StructureConstantAlgebra, WittTarget, analyze_image, sl_algebra
 from .ym_quotient import strong_relation_elements, ym_relations
@@ -185,29 +184,25 @@ def isotropic_orthogonal_witness(x, y) -> GaussianRational:
 _BRANCHES = ("nilpotent", "semisimple")
 
 
-@dataclass(frozen=True)
-class Sl2CaseParameters:
+class Sl2CaseParameters(Value):
     """Branch data for morphisms ym(3) -> sl(2) with normalized third image:
     phi(x_3) = e on the nilpotent branch, phi(x_3) = h on the semisimple one;
     phi(x_i) = alpha_i e + beta_i h + gamma_i f for i = 1, 2."""
 
-    branch: str
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
+    __slots__ = ("branch", "alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        if self.branch not in _BRANCHES:
+    def __init__(self, branch: str, alpha: tuple, beta: tuple, gamma: tuple):
+        self._set(branch, alpha, beta, gamma)
+        if branch not in _BRANCHES:
             raise ValueError(f"branch must be one of {_BRANCHES}")
-        for vec in (self.alpha, self.beta, self.gamma):
+        for vec in (alpha, beta, gamma):
             if len(vec) != 2 or not all(
                 isinstance(c, GaussianRational) for c in vec
             ):
                 raise ValueError("alpha, beta, gamma must be pairs over Q(i)")
 
 
-@dataclass(frozen=True)
-class Sl2CaseConditions:
+class Sl2CaseConditions(NamedTuple):
     """Closed-form vanishing conditions: three scalars from the residual of
     r_3 and three coefficient-pair vectors from the residuals of r_1, r_2."""
 
@@ -275,8 +270,7 @@ def solvable_non_nilpotent_example() -> GeneratorMorphism:
     return GeneratorMorphism(3, sl2, [h, e, h * _I])
 
 
-@dataclass(frozen=True)
-class MorphismAnalysis:
+class MorphismAnalysis(NamedTuple):
     residuals_zero: bool
     image_dim: int
     is_solvable: bool
@@ -290,8 +284,7 @@ def analyze_sl2_morphism(phi: GeneratorMorphism) -> MorphismAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of sampling candidate morphisms ym(3) -> sl(2): every
     residual-zero candidate must have solvable image."""
 

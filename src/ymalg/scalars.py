@@ -216,9 +216,9 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-_TERM_BODY = r"(?:\d+(?:/\d+)?\s*\*?\s*i|\d+(?:/\d+)?|i)"
+_TERM_BODY = r"(?:[0-9]+(?:/[0-9]+)?\s*\*?\s*i|[0-9]+(?:/[0-9]+)?|i)"
 _SCALAR_FULL = re.compile(
-    rf"^\s*[+-]?\s*{_TERM_BODY}(?:\s*[+-]\s*{_TERM_BODY})*\s*$"
+    rf"\s*[+-]?\s*{_TERM_BODY}(?:\s*[+-]\s*{_TERM_BODY})*\s*"
 )
 _SCALAR_TERM = re.compile(rf"([+-]?)\s*({_TERM_BODY})")
 
@@ -237,7 +237,7 @@ def parse_scalar(text) -> GaussianRational:
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return GaussianRational(text)
     s = str(text)
-    if not _SCALAR_FULL.match(s):
+    if not _SCALAR_FULL.fullmatch(s):
         raise ValueError(f"cannot parse scalar {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)

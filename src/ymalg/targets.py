@@ -18,14 +18,12 @@ so "covered" is never read as full generation.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import Combination, Subspace, accumulate, bilinear
+from .linalg import Combination, Subspace, Value, accumulate, bilinear
 from .scalars import GaussianRational, format_linear, parse_scalar
 
 
@@ -36,6 +34,8 @@ class _Labelled:
     """The element builders of a target with basis labels; a subclass gives
     ``zero()`` and ``_key(label)``, the basis key a label names (KeyError
     for an unknown label)."""
+
+    __slots__ = ()
 
     def basis_element(self, label) -> Combination:
         return self.zero()._like({self._key(label): GaussianRational(1)})
@@ -217,6 +217,8 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
 
     Unlisted pairs default to zero; "i"/"j" may be labels or 0-based indices.
     """
+    import json
+
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict) or not isinstance(data.get("basis"), list):
@@ -298,8 +300,7 @@ def _bracket_span(
     return span
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Derived and lower central series of a bracket-closed subspace."""
 
     derived_series: tuple
@@ -347,8 +348,7 @@ def series_analysis(
     )
 
 
-@dataclass(frozen=True)
-class ImageAnalysis:
+class ImageAnalysis(NamedTuple):
     """The subalgebra generated by some elements of a finite algebra."""
 
     image_dim: int
@@ -427,15 +427,17 @@ def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> Witt
     return u._like(bilinear(u.terms, v.terms, pair))
 
 
-_WITT_LABEL = re.compile(r"^e_?(-?\d+)$")
+_WITT_LABEL = re.compile(r"e_?(-?[0-9]+)")
 
 
-@dataclass(frozen=True)
-class WittTarget(_Labelled):
+class WittTarget(_Labelled, Value):
     """The Witt algebra, or its Virasoro extension when the flag is set.
     Basis labels are ``e_<k>`` (or ``e<k>``) and ``c``."""
 
-    virasoro: bool = False
+    __slots__ = ("virasoro",)
+
+    def __init__(self, virasoro: bool = False):
+        self._set(virasoro)
 
     def zero(self) -> WittElement:
         return WittElement()
@@ -443,7 +445,7 @@ class WittTarget(_Labelled):
     def _key(self, label: str):
         if label == "c":
             return WITT_CENTRAL
-        m = isinstance(label, str) and _WITT_LABEL.match(label)
+        m = isinstance(label, str) and _WITT_LABEL.fullmatch(label)
         if not m:
             raise KeyError(f"unknown Witt basis name {label!r} (use e_<k> or c)")
         return int(m.group(1))
@@ -460,8 +462,7 @@ class WittTarget(_Labelled):
 _WITT = WittTarget()  # the space of every WittElement
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Finite generation evidence: which e_n with |n| <= window lie in the
     span of iterated brackets up to the given depth.  This is evidence on a
     window, not a proof of generation."""

@@ -11,9 +11,6 @@ relators and I_{d+1} = [V(n), I_d].
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .free_lie import (
@@ -24,20 +21,18 @@ from .free_lie import (
     bracket,
     free_lie_dim,
 )
-from .linalg import Subspace
+from .linalg import Subspace, Value
 
 
-@dataclass(frozen=True)
-class YangMillsPresentation:
+class YangMillsPresentation(Value):
     """Relators of ym(n) (weak: n sums) or of the strong quotient (the
     individual brackets [x_i,[x_i,x_j]], i != j; the i = j ones vanish)."""
 
-    n: int
-    strong: bool
-    relators: tuple
+    __slots__ = ("n", "strong", "relators")
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, n: int, strong: bool, relators: tuple):
+        self._set(n, strong, relators)
+        for r in relators:
             if not r.is_zero and r.degrees() != (3,):
                 raise ValueError("relators must be homogeneous of degree 3")
 
@@ -189,6 +184,9 @@ def dims_table(
 
 
 def dims_table_csv(rows: list) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["degree", "free_dim", "ideal_dim", "ym_dim"],

@@ -450,6 +450,32 @@ class TestPair:
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ") and f"<= {MAX_SL_SIZE}" in line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # "\u0663" and "\u0662" are the Arabic-Indic three and two
+            ("--target", "sl(3", "--a", "E12", "--b", "E21"),
+            ("--target", "sl3)", "--a", "E12", "--b", "E21"),
+            ("--target", "sl(\u0663)", "--a", "E12", "--b", "E21"),
+            ("--target", "witt", "--a", "e_3\n", "--b", "e_-2"),
+            ("--target", "witt", "--a", "e_\u0663", "--b", "e_-2"),
+            ("--target", "sl2", "--a", "\u0663*e", "--b", "f"),
+            ("--target", "sl2", "--a", "1/\u0662*e", "--b", "f"),
+        ],
+    )
+    def test_grammars_take_only_their_documented_form(self, argv):
+        # ASCII digits, the whole text, and the parentheses of sl(m) as a pair
+        code, out, err = run_main("pair", *argv)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["sl3", "sl(3)", " SL(3) "])
+    def test_sl_target_spellings(self, target):
+        code, out, _ = run_main("pair", "--target", target, "--a", "E12", "--b", "E21")
+        assert code == 0
+        assert json.loads(out)["results"]["image_dim"] == 3
+
     def test_missing_generators_for_finite_target(self):
         proc = run_cli("pair", "--target", "sl2")
         assert proc.returncode == 2

@@ -55,3 +55,28 @@ def test_audit_records_residual_spans(tracing):
         assert totals[name][0] > 0, name
     assert totals["morphisms.audit"][0] == 1
     assert tracer.counts["audit_candidates"] == report.candidates == 7
+
+
+def test_subcommands_call_the_traced_functions(tracing, tmp_path):
+    # the CLI imports library functions inside its handlers, at call time,
+    # so it must pick up the tracer's rebinding of the module attributes
+    mods = {name: importlib.import_module(name) for name in tracing.YMALG_MODULES}
+    matrix = tmp_path / "a2.json"
+    matrix.write_text('[["2", "-1"], ["-1", "2"]]')
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        codes = [
+            tracing.run_command(mods["ymalg.cli"], argv)[0]
+            for argv in (
+                ["pair", "--target", "witt", "--depth", "3", "--window", "3"],
+                ["realization", str(matrix)],
+            )
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    totals = tracer.span_totals()
+    for name in ("cli.main", "targets.generated_window", "kac_moody.build_realization"):
+        assert totals[name][0] > 0, name
+    assert totals["kac_moody.verify_realization"][0] > 0

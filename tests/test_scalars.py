@@ -25,7 +25,10 @@ def test_parse_examples():
     assert parse_scalar(5) == GaussianRational(5)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+", "i2", "1//2", "--1", "1 2"])
+@pytest.mark.parametrize(
+    # digits are ASCII only: "\u0663" is the Arabic-Indic three
+    "bad", ["", "x", "1+", "i2", "1//2", "--1", "1 2", "\u0663", "1/\u0662", "\u0663i"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

@@ -329,7 +329,9 @@ class TestWittTarget:
         assert WITT.element({}) == WITT.zero()
 
     @pytest.mark.parametrize(
-        "label", ["x_1", "e", "e_", "e_1.5", "C", "f_2", 5, None, 1.0, True]
+        "label",
+        ["x_1", "e", "e_", "e_1.5", "C", "f_2", 5, None, 1.0, True, "e_3\n",
+         "e_\u0663", "e\u0663"],
     )
     def test_unknown_label(self, label):
         with pytest.raises(KeyError) as info:
