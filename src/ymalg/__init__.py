@@ -30,7 +30,7 @@ _EXPORTS = {
         WindowReport WittElement WittTarget algebra_from_json analyze_image
         generated_window heisenberg series_analysis sl_algebra
         subalgebra_closure witt_bracket witt_c witt_e""",
-    "ym_quotient": """YangMillsPresentation dims_table dims_table_csv
+    "ym_quotient": """Presentation dims_table dims_table_csv
         ideal_graded_component ideal_membership_by_degree is_zero_in_ym
         strong_relation_elements ym_dim ym_graded_dims ym_relations""",
 }

@@ -74,7 +74,8 @@ def parse_element(target, text: str):
     scalar coefficients: "E12+E23", "i*h", "(1+2i)*e - f"."""
     from .scalars import parse_scalar
 
-    s = text.replace(" ", "")
+    # argparse reads "--a=--" as an empty list of values
+    s = text.replace(" ", "") if text else ""
     if not s:
         raise CliInputError("empty element expression")
     # split into signed terms at top-level + and -
@@ -245,7 +246,7 @@ def _cmd_verify(args, echo):
     raw = _read_input(args.spec, "morphism spec")
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"malformed JSON in {args.spec}: {exc}") from None
     phi = morphism_from_json(data)
     results = {
@@ -302,11 +303,15 @@ def _cmd_pair(args, echo):
     target = resolve_target(args.target)
     if isinstance(target, WittTarget):
         target = WittTarget(target.virasoro or args.virasoro)
-        a = parse_element(target, args.a) if args.a else target.basis_element("e_-2")
-        b = parse_element(target, args.b) if args.b else target.basis_element("e_3")
+        # an omitted generator takes its default; an empty one is an error
+        a, b = (
+            target.basis_element(default) if text is None
+            else parse_element(target, text)
+            for text, default in ((args.a, "e_-2"), (args.b, "e_3"))
+        )
     elif args.virasoro:
         raise CliInputError("--virasoro only applies to the witt target")
-    elif not args.a or not args.b:
+    elif args.a is None or args.b is None:
         raise CliInputError("--a and --b are required for finite targets")
     else:
         a = parse_element(target, args.a)
@@ -331,7 +336,7 @@ def _cmd_realization(args, echo):
     raw = _read_input(args.matrix, "matrix file")
     try:
         A = MatrixData.from_json(raw.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise CliInputError(f"bad matrix input: {exc}") from None
     gcm = is_generalized_cartan(A)
     realization = build_realization(A)

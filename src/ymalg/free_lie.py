@@ -218,24 +218,18 @@ class FreeLieElement(Combination):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping | None = None, _trusted: bool = False):
+    def __init__(self, n: int, terms: Mapping | None = None):
         if n < 1:
             raise ValueError("need n >= 1")
         self.space = FreeTarget(n)
-        if terms is None:
-            self.terms = {}
-        elif _trusted:
-            self.terms = dict(terms)
-        else:
-            clean = {}
-            for w, c in terms.items():
-                word = w if isinstance(w, LyndonWord) else LyndonWord(w)
-                if max(word) > n:
-                    raise ValueError(f"word {word!r} uses letters above {n}")
-                c = c if isinstance(c, GaussianRational) else parse_scalar(c)
-                if c:
-                    clean[word] = c
-            self.terms = clean
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            word = w if isinstance(w, LyndonWord) else LyndonWord(w)
+            if max(word) > n:
+                raise ValueError(f"word {word!r} uses letters above {n}")
+            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
+            if c:
+                self.terms[word] = c
 
     @property
     def n(self) -> int:
@@ -252,14 +246,11 @@ class FreeLieElement(Combination):
         """The generator x_j of f(n), 1 <= j <= n."""
         if not 1 <= j <= n:
             raise ValueError(f"generator index {j} out of range 1..{n}")
-        return cls(n, {LyndonWord._trusted((j,)): GaussianRational(1)}, _trusted=True)
+        return cls.basis_element(n, (j,))
 
     @classmethod
     def basis_element(cls, n: int, word) -> "FreeLieElement":
-        word = word if isinstance(word, LyndonWord) else LyndonWord(word)
-        if max(word) > n:
-            raise ValueError(f"word {word!r} uses letters above {n}")
-        return cls(n, {word: GaussianRational(1)}, _trusted=True)
+        return cls(n, {tuple(word): GaussianRational(1)})
 
     # -- views ------------------------------------------------------------
 

@@ -53,9 +53,6 @@ class MatrixData(NamedTuple):
             raise ValueError("matrix JSON must be an array of rows")
         return cls.from_rows(data)
 
-    def to_strings(self) -> list:
-        return [[str(c) for c in row] for row in self.entries]
-
 
 class GcmCheck(NamedTuple):
     ok: bool

@@ -1,12 +1,15 @@
-"""The Yang-Mills relations, the graded ideal they generate, and dimensions.
+"""Graded presentations of Lie algebras, the graded ideal their relators
+generate, and dimensions; the Yang-Mills presentations are the main case.
 
-ym(n) is the quotient of the free Lie algebra f(n) by the ideal generated by
-the degree-3 relators r_j = sum over i of [x_i, [x_i, x_j]].  The "strong"
-presentation instead kills every [x_i, [x_i, x_j]] individually.
+``Presentation(n, relators)`` presents f(n) modulo the Lie ideal generated by
+homogeneous relators of degree >= 2.  ym(n) is the quotient by the relators
+r_j = sum over i of [x_i, [x_i, x_j]], of degree 3; the "strong" presentation
+instead kills every [x_i, [x_i, x_j]] individually.  Serre relators, of
+degree 2 and up, present the positive part of a Kac-Moody algebra.
 
 Since f(n) is generated in degree 1, the graded components of the ideal close
-under left bracketing with the generators alone: I_3 is the span of the
-relators and I_{d+1} = [V(n), I_d].
+under left bracketing with the generators alone: I_d is the span of the
+degree-d relators and of [V(n), I_{d-1}].
 """
 
 from __future__ import annotations
@@ -24,29 +27,31 @@ from .free_lie import (
 from .linalg import Subspace, Value
 
 
-class YangMillsPresentation(Value):
-    """Relators of ym(n) (weak: n sums) or of the strong quotient (the
-    individual brackets [x_i,[x_i,x_j]], i != j; the i = j ones vanish)."""
+class Presentation(Value):
+    """Generators x_1..x_n of f(n) and relators: elements of f(n), each zero
+    or homogeneous of degree >= 2."""
 
-    __slots__ = ("n", "strong", "relators")
+    __slots__ = ("n", "relators")
 
-    def __init__(self, n: int, strong: bool, relators: tuple):
-        self._set(n, strong, relators)
-        for r in relators:
-            if not r.is_zero and r.degrees() != (3,):
-                raise ValueError("relators must be homogeneous of degree 3")
+    def __init__(self, n: int, relators: tuple):
+        self._set(n, tuple(relators))
+        if n < 1:
+            raise ValueError("need n >= 1")
+        for r in self.relators:
+            if not isinstance(r, FreeLieElement) or r.n != n:
+                raise ValueError(f"relator {r!r} is not an element of f({n})")
+            if not r.is_zero and (not r.is_homogeneous or r.degrees()[0] < 2):
+                raise ValueError("relators must be homogeneous of degree >= 2")
 
 
 @lru_cache(maxsize=None)
-def ym_relations(n: int, strong: bool = False) -> YangMillsPresentation:
+def ym_relations(n: int, strong: bool = False) -> Presentation:
     """The Yang-Mills presentation on n generators.
 
     Weak form: r_j = sum_i [x_i,[x_i,x_j]] for j = 1..n (r_j may be the zero
     element, e.g. for n = 1).  Strong form: the n^2 brackets [x_i,[x_i,x_j]]
     with the identically-zero i = j ones dropped.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     grid = strong_relation_elements(n)
     if strong:
         relators = tuple(elem for (i, j), elem in grid if i != j)
@@ -55,7 +60,7 @@ def ym_relations(n: int, strong: bool = False) -> YangMillsPresentation:
             sum((elem for (_, k), elem in grid if k == j), FreeLieElement.zero(n))
             for j in range(1, n + 1)
         )
-    return YangMillsPresentation(n=n, strong=strong, relators=relators)
+    return Presentation(n, relators)
 
 
 def strong_relation_elements(n: int) -> list:
@@ -73,14 +78,13 @@ def strong_relation_elements(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _ideal_component(pres: YangMillsPresentation, d: int) -> Subspace:
+def _ideal_component(pres: Presentation, d: int) -> Subspace:
     n = pres.n
-    space = Subspace(FreeLieElement.zero(n))
-    if d == 3:
-        for r in pres.relators:
-            if not r.is_zero:
-                space.add(r)
-    elif d > 3:
+    # a zero relator has no degree, so it is never picked
+    space = Subspace(
+        FreeLieElement.zero(n), (r for r in pres.relators if r.degrees() == (d,))
+    )
+    if d > 1:
         generators = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
         for elem in _ideal_component(pres, d - 1).elements():
             for x in generators:
@@ -89,13 +93,13 @@ def _ideal_component(pres: YangMillsPresentation, d: int) -> Subspace:
 
 
 def ideal_graded_component(
-    pres: YangMillsPresentation, d: int, degree_cap: int = DEFAULT_DEGREE_CAP
+    pres: Presentation, d: int, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Subspace:
     """Degree-d component of the two-sided Lie ideal generated by the
-    relators, as a Subspace of f(n)_d, computed by iterated
-    bracketing with the generators followed by exact row reduction.  Degrees
-    below 3 give the zero subspace.  The result is cached and shared: do not
-    add to it."""
+    relators, as a Subspace of f(n)_d: the degree-d relators and the
+    brackets of the generators with the degree-(d-1) component, by exact row
+    reduction.  Degrees below the least relator degree give the zero
+    subspace.  The result is cached and shared: do not add to it."""
     if d < 1:
         raise ValueError("need d >= 1")
     _check_cap(d, degree_cap)
@@ -110,7 +114,7 @@ def ym_dim(
 ) -> int:
     """dim ym(n)_d = free_lie_dim(n, d) - dim of the ideal component.
 
-    Degrees 1 and 2 are untouched by the degree-3 relators.
+    Degrees 1 and 2 are untouched: the Yang-Mills relators have degree 3.
     """
     pres = ym_relations(n, strong)
     return free_lie_dim(n, d) - ideal_graded_component(pres, d, degree_cap).dim
@@ -131,7 +135,7 @@ def ym_graded_dims(
 
 
 def is_zero_in_ym(
-    pres: YangMillsPresentation,
+    pres: Presentation,
     a: FreeLieElement,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
@@ -141,7 +145,7 @@ def is_zero_in_ym(
 
 
 def ideal_membership_by_degree(
-    pres: YangMillsPresentation,
+    pres: Presentation,
     a: FreeLieElement,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict:

@@ -71,6 +71,11 @@ class TestDims:
             "3,2,2,0",
         ]
 
+    def test_n_must_be_positive(self):
+        code, out, err = run_main("dims", "--n", "0")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: need --n >= 1"]
+
     def test_cap_exceeded_is_input_error(self):
         proc = run_cli("dims", "--n", "2", "--max-degree", "20")
         assert proc.returncode == 2
@@ -178,6 +183,13 @@ class TestVerify:
         proc = run_cli("verify", str(path))
         assert proc.returncode == 2
         assert "malformed JSON" in proc.stderr
+        # nesting deeper than the decoder's recursion limit
+        deep = "[" * 100000 + "]" * 100000
+        path.write_text('{"n": 1, "target": "sl2", "images": ' + deep + "}")
+        code, out, err = run_main("verify", str(path))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: malformed JSON")
 
     def test_unknown_target(self, spec_file):
         path = spec_file("unk.json", {"n": 1, "target": "su(5)", "images": [{}]})
@@ -461,6 +473,14 @@ class TestPair:
             ("--target", "witt", "--a", "e_\u0663", "--b", "e_-2"),
             ("--target", "sl2", "--a", "\u0663*e", "--b", "f"),
             ("--target", "sl2", "--a", "1/\u0662*e", "--b", "f"),
+            # empty, blank and sign-only elements, and --virasoro off witt
+            ("--target", "witt", "--a", "", "--b", "e_3"),
+            ("--target", "witt", "--a", "e_-2", "--b", ""),
+            ("--target", "sl2", "--a", "", "--b", "f"),
+            ("--target", "sl2", "--a", " ", "--b", "f"),
+            ("--target", "sl2", "--a", "+", "--b", "f"),
+            ("--target", "sl2", "--a=--", "--b", "f"),
+            ("--target", "heisenberg", "--a", "p", "--b", "q", "--virasoro"),
         ],
     )
     def test_grammars_take_only_their_documented_form(self, argv):
@@ -594,6 +614,15 @@ class TestRealization:
         assert err.getvalue().splitlines() == [
             "error: bad matrix input: each matrix row must be an array"
         ]
+
+    def test_deep_nesting_is_input_error(self, tmp_path):
+        # nesting deeper than the decoder's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_main("realization", str(path))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: bad matrix input: ")
 
     def test_json_booleans_are_not_scalars(self, tmp_path):
         path = tmp_path / "bool.json"

@@ -38,7 +38,7 @@ from ymalg.targets import (
     subalgebra_closure,
     witt_e,
 )
-from ymalg.ym_quotient import YangMillsPresentation, ym_relations
+from ymalg.ym_quotient import Presentation, ym_relations
 
 SRC = Path(ymalg.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -152,7 +152,7 @@ INSTANCES = {
     "FreeTarget": (lambda: FreeTarget(2), "m"),
     "WittTarget": (lambda: WittTarget(True), "virasoro"),
     "GradedDims": (lambda: GradedDims(2, (2, 1)), "dims"),
-    "YangMillsPresentation": (lambda: ym_relations(2), "relators"),
+    "Presentation": (lambda: ym_relations(2), "relators"),
     "Sl2CaseParameters": (
         lambda: Sl2CaseParameters("nilpotent", ZERO2, ZERO2, ZERO2), "branch"),
     "MatrixData": (_matrix, "rank"),
@@ -197,8 +197,8 @@ class TestValueTypes:
         assert GradedDims(2, (2, 1)) == GradedDims(n=2, dims=(2, 1))
         assert GradedDims(2, (2, 1)) != GradedDims(2, (2, 0))
         pres = ym_relations(2)
-        assert pres == YangMillsPresentation(2, False, pres.relators)
-        assert hash(pres) == hash(YangMillsPresentation(2, False, pres.relators))
+        assert pres == Presentation(2, pres.relators)
+        assert hash(pres) == hash(Presentation(2, pres.relators))
         assert pres != ym_relations(2, strong=True)
 
     def test_repr_names_the_fields(self):
@@ -213,8 +213,8 @@ class TestValueTypes:
 
     def test_validation_on_construction(self):
         x1 = FreeLieElement.generator(2, 1)
-        with pytest.raises(ValueError, match="degree 3"):
-            YangMillsPresentation(2, False, (x1,))
+        with pytest.raises(ValueError, match="degree >= 2"):
+            Presentation(2, (x1,))
         with pytest.raises(ValueError, match="outside"):
             GradedDims(2, (3,))
         with pytest.raises(ValueError, match="branch"):

@@ -63,6 +63,8 @@ def test_subcommands_call_the_traced_functions(tracing, tmp_path):
     mods = {name: importlib.import_module(name) for name in tracing.YMALG_MODULES}
     matrix = tmp_path / "a2.json"
     matrix.write_text('[["2", "-1"], ["-1", "2"]]')
+    # an ideal component cached by an earlier test would record no rows
+    tracing.Caches(mods).clear()
     tracer = tracing.Tracer(mods)
     tracer.install()
     try:
@@ -71,12 +73,22 @@ def test_subcommands_call_the_traced_functions(tracing, tmp_path):
             for argv in (
                 ["pair", "--target", "witt", "--depth", "3", "--window", "3"],
                 ["realization", str(matrix)],
+                ["dims", "--n", "3", "--max-degree", "4"],
             )
         ]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     totals = tracer.span_totals()
     for name in ("cli.main", "targets.generated_window", "kac_moody.build_realization"):
         assert totals[name][0] > 0, name
     assert totals["kac_moody.verify_realization"][0] > 0
+    # the per-degree hooks: the benchmark's ym_quotient.degree.<d>.s and
+    # rows_tried come from these spans and insert counts
+    for name in ("ym_quotient.ideal_component", "ym_quotient.degree.3",
+                 "ym_quotient.degree.4"):
+        assert totals[name][0] > 0, name
+    # [tried, accepted]: the three relators of ym(3), then [x_j, row] for
+    # the 3 generators and 3 rows of I_3, of which dim I_4 = 8 are independent
+    assert tracer.rows[3] == [3, 3]
+    assert tracer.rows[4] == [9, 8]

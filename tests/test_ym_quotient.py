@@ -10,6 +10,7 @@ from ymalg.free_lie import (
 from ymalg.linalg import Subspace
 from ymalg.scalars import GaussianRational as GR
 from ymalg.ym_quotient import (
+    Presentation,
     dims_table,
     dims_table_csv,
     ideal_graded_component,
@@ -237,6 +238,68 @@ class TestTables:
         assert z.dim == 0
         assert z.contains(FreeLieElement.zero(3))
         assert not z.contains(bracket(*gens(3)[:2]))
+
+
+class TestPresentation:
+    def test_relators_must_be_homogeneous_of_degree_two_or_more(self):
+        x1, x2 = gens(2)
+        for relators in [(x1,), (bracket(x1, x2) + x1,)]:
+            with pytest.raises(ValueError, match="degree >= 2"):
+                Presentation(2, relators)
+        pres = Presentation(2, [FreeLieElement.zero(2), bracket(x1, x2)])
+        assert pres.relators == (FreeLieElement.zero(2), bracket(x1, x2))
+        assert ideal_graded_component(pres, 2).dim == 1
+
+    def test_relators_must_lie_in_the_free_algebra(self):
+        x1, x2, x3 = gens(3)
+        for relator in [bracket(x1, x3), "[x1,x2]"]:
+            with pytest.raises(ValueError, match=r"not an element of f\(2\)"):
+                Presentation(2, (relator,))
+        with pytest.raises(ValueError, match="n >= 1"):
+            Presentation(0, ())
+
+
+def serre_presentation(cartan):
+    """f(m) modulo the Serre relators ad(x_i)^(1 - a_ij) x_j, i != j."""
+    m = len(cartan)
+    x = gens(m)
+    relators = []
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                r = x[j]
+                for _ in range(1 - cartan[i][j]):
+                    r = bracket(x[i], r)
+                relators.append(r)
+    return Presentation(m, tuple(relators))
+
+
+# Cartan matrix and the number of positive roots of each height, from Kac,
+# Infinite-dimensional Lie algebras (root systems of the finite types; the
+# affine A1^(1) has real roots at odd heights and imaginary ones, each of
+# multiplicity 1, at even heights)
+SERRE_CASES = {
+    "A2": ([[2, -1], [-1, 2]], [2, 1, 0]),
+    "B2": ([[2, -2], [-1, 2]], [2, 1, 1, 0]),
+    "G2": ([[2, -1], [-3, 2]], [2, 1, 1, 1, 1, 0]),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [3, 2, 1, 0]),
+    "A1xA1": ([[2, 0], [0, 2]], [2, 0]),
+    "A1^(1)": ([[2, -2], [-2, 2]], [2, 1, 2, 1, 2, 1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(SERRE_CASES))
+def test_serre_quotient_has_the_root_counts_by_height(name):
+    # Gabber-Kac: n+ of g(A) is f(m) modulo the Serre relators, and its
+    # degree-d component is the sum of the root spaces of height d
+    cartan, counts = SERRE_CASES[name]
+    m = len(cartan)
+    pres = serre_presentation(cartan)
+    quotient = [
+        free_lie_dim(m, d) - ideal_graded_component(pres, d).dim
+        for d in range(1, len(counts) + 1)
+    ]
+    assert quotient == counts
 
 
 @pytest.mark.parametrize(
