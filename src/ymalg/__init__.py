@@ -14,7 +14,7 @@ from importlib import import_module
 _EXPORTS = {
     "free_lie": """DEFAULT_DEGREE_CAP DegreeCapExceeded FreeLieElement FreeTarget
         GradedDims LyndonWord bracket free_lie_dim is_lyndon lyndon_basis
-        scalar_combine standard_factorization""",
+        standard_factorization""",
     "kac_moody": """GcmCheck MatrixData RealizationOfMatrix build_realization
         is_generalized_cartan pairing_matrix verify_realization
         ym_quotient_bound""",

@@ -31,6 +31,8 @@ _SL_TARGET = re.compile(r"sl([0-9]+)|sl\(([0-9]+)\)")
 # building sl(m) checks Jacobi on every basis triple, which grows like m^6
 # (about 2 s for m = 12 on a 2-vCPU VM)
 MAX_SL_SIZE = 12
+# each Witt window round costs about 4x the last (depth 12: 1.3 s, 2 vCPUs)
+MAX_WINDOW_DEPTH = 12
 
 
 def resolve_target(name: str):
@@ -220,6 +222,8 @@ def _morphism_report(args, echo, digest, phi, images, results, strong=False):
     Exit code 1 when a residual is nonzero."""
     from .targets import StructureConstantAlgebra, analyze_image, generated_window
 
+    if args.depth > MAX_WINDOW_DEPTH:
+        raise CliInputError(f"--depth {args.depth} is above the cap {MAX_WINDOW_DEPTH}")
     residuals = phi.relation_residuals(strong)
     residuals_zero = all(r.is_zero for r in residuals)
     results["residuals_zero"] = residuals_zero

@@ -276,21 +276,6 @@ def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     return a._like(bilinear(a.terms, b.terms, _bracket_words))
 
 
-def scalar_combine(
-    coeffs: Sequence, elems: Sequence[FreeLieElement]
-) -> FreeLieElement:
-    """Sum of c_i * elem_i with zero coefficients pruned."""
-    if len(coeffs) != len(elems):
-        raise ValueError("coefficient and element sequences differ in length")
-    if not elems:
-        raise ValueError("need at least one element")
-    n = elems[0].n
-    out = FreeLieElement.zero(n)
-    for c, e in zip(coeffs, elems):
-        out = out + e * (c if isinstance(c, GaussianRational) else parse_scalar(c))
-    return out
-
-
 class GradedDims(Value):
     """Per-degree dimensions of a graded subquotient of f(n), degrees 1..D."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .linalg import Echelon, rank
-from .scalars import GaussianRational, parse_scalar
+from .scalars import GaussianRational, clear_denominators, parse_scalar
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
@@ -114,8 +114,7 @@ def build_realization(A: MatrixData) -> RealizationOfMatrix:
     ech = Echelon()
     independent = []
     for idx in range(m):
-        column = {i: A.entries[i][idx] for i in range(m) if A.entries[i][idx]}
-        if ech.insert(column):
+        if ech.insert(clear_denominators({i: A.entries[i][idx] for i in range(m)})):
             independent.append(idx)
     fill = [idx for idx in range(m) if idx not in independent]
     pi = []

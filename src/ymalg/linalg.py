@@ -1,24 +1,24 @@
 """Exact linear algebra over Q(i), and the one sparse element type.
 
-Rows live as sparse Gaussian-integer vectors (denominators are cleared on
-entry) and elimination is fraction-free: each update is a cross
-multiplication followed by an integer content reduction, so no rational
-division happens until rows are normalized for output.  Pivoting is exact,
-on the first nonzero column of each incoming row.  Closures read the
-echelon rows themselves (``Subspace.elements``), which never change once
-stored; the canonical reduced basis is built only on request
-(``Subspace.basis_elements``, ``Echelon.rref``).
+``Echelon`` takes and stores sparse Gaussian-integer rows ``{col: (a, b)}``;
+a Combination's terms enter through ``clear_denominators`` once.
+Elimination is fraction-free: a cross multiplication per step, or dropping
+the column of a single-entry pivot row; only stored rows are
+content-reduced.  Pivots are the first nonzero column of each row.
+Closures bracket the stored rows (``Echelon.rows``, never changed) with
+``row_bilinear`` over an integer rule for a pair of basis keys: the
+target's bracket times one nonzero constant (12 for Virasoro, the lcm of a
+constant table's denominators), which leaves every span the same.  The
+canonical reduced basis is built only on request (``Echelon.rref``).
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
 ``Combination(space, terms)`` is every algebra element: a finite
-Q(i)-linear combination of basis keys of its ambient space, with its
-vector-space arithmetic; the space renders it with ``space.format(terms)``.
-``bilinear`` is the one bracket loop: the bilinear extension of a rule for
-a pair of basis keys.  ``Subspace`` wraps an Echelon around the span of
-Combinations of one ambient space; ideal components, subalgebra closures,
-series terms and Witt windows are all Subspaces.  ``Value`` is the base of
-the small immutable types with value equality, such as the spaces.
+Q(i)-linear combination of basis keys of its space, rendered by
+``space.format(terms)``; ``bilinear`` is its bracket over the rule in Q(i).
+``Subspace`` wraps an Echelon around a span in one space: ideal components,
+subalgebra closures, series terms and Witt windows.  ``Value`` is the base
+of the small immutable types with value equality, such as the spaces.
 """
 
 from __future__ import annotations
@@ -29,19 +29,12 @@ from typing import Iterable, Mapping, Sequence
 from .scalars import GaussianRational, clear_denominators, from_ints
 
 
-def _to_int_row(vec: Mapping) -> dict:
-    """Clear denominators: {col: GaussianRational} -> {col: (a, b)} over Z[i]."""
-    return _content_reduce(clear_denominators(vec))
-
-
 def _content_reduce(row: dict) -> dict:
     g = 0
     for a, b in row.values():
-        g = gcd(g, gcd(abs(a), abs(b)))
+        g = gcd(g, a, b)
         if g == 1:
             return row
-    if g <= 1:
-        return row
     return {col: (a // g, b // g) for col, (a, b) in row.items()}
 
 
@@ -64,7 +57,7 @@ def _eliminate(row: dict, col, pivot_row: dict) -> dict:
             new.pop(c, None)
         else:
             new[c] = val
-    return _content_reduce(new)
+    return new
 
 
 def _normalize(row: dict, pivot) -> dict:
@@ -90,27 +83,35 @@ class Echelon:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, row: dict) -> dict:
+    def _reduce(self, row: Mapping) -> dict:
         # eliminate against stored pivots; each step zeroes the current
         # leading column and only introduces later columns, so this terminates
+        row = dict(row)
         while row:
             col = min(row)
             pivot_row = self._rows.get(col)
             if pivot_row is None:
                 return row
-            row = _eliminate(row, col, pivot_row)
+            if len(pivot_row) == 1:
+                del row[col]
+            else:
+                row = _eliminate(row, col, pivot_row)
         return row
 
-    def insert(self, vec: Mapping) -> bool:
-        """Add a vector ({col: GaussianRational}); True if it was independent."""
-        row = self._reduce(_to_int_row(vec))
+    def insert(self, row: Mapping) -> bool:
+        """Add a Z[i] row {col: (a, b)}, no entry zero; True if independent."""
+        row = self._reduce(row)
         if not row:
             return False
-        self._rows[min(row)] = row
+        self._rows[min(row)] = _content_reduce(row)
         return True
 
-    def contains(self, vec: Mapping) -> bool:
-        return not self._reduce(_to_int_row(vec))
+    def contains(self, row: Mapping) -> bool:
+        return not self._reduce(row)
+
+    def rows(self) -> list:
+        """The stored rows, a basis of the span; ``insert`` only appends."""
+        return list(self._rows.values())
 
     def reduced_basis(self) -> list:
         """The canonical basis of the span as (pivot, {col: GaussianRational})
@@ -124,7 +125,7 @@ class Echelon:
             # clearing one pivot column never refills another
             for col in [c for c in row if c != pivot and c in reduced]:
                 row = _eliminate(row, col, reduced[col])
-            reduced[pivot] = row
+            reduced[pivot] = _content_reduce(row)
         return [(p, _normalize(reduced[p], p)) for p in sorted(reduced)]
 
     def rref(self, columns: Sequence) -> list:
@@ -139,7 +140,7 @@ class Echelon:
 def rank(matrix: Iterable[Sequence]) -> int:
     ech = Echelon()
     for row in matrix:
-        ech.insert(dict(enumerate(row)))
+        ech.insert(clear_denominators(dict(enumerate(row))))
     return ech.dim
 
 
@@ -151,6 +152,23 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
+    """``bilinear`` over Gaussian-integer rows {key: (a, b)}: ``pair(i, j)``
+    maps keys to nonzero ints or Gaussian-integer pairs (x, y)."""
+    out: dict = {}
+    for i, (a, b) in u.items():
+        for j, (c, d) in v.items():
+            for k, x in pair(i, j).items():
+                x, y = (x, 0) if type(x) is int else x
+                re, im = a * c - b * d, a * d + b * c
+                p, q = out.get(k, (0, 0))
+                p, q = p + re * x - im * y, q + re * y + im * x
+                out[k] = (p, q)
+                if not (p or q):
+                    del out[k]
+    return out
 
 
 def bilinear(u_terms: Mapping, v_terms: Mapping, pair) -> dict:
@@ -272,37 +290,37 @@ class Subspace:
     """The span of Combinations of one ambient space, kept as an Echelon.
 
     ``zero`` is the ambient zero element; elements enter through their
-    ``terms`` and the basis comes back through ``zero._like``.
+    ``terms`` and the basis comes back through ``zero._like``.  Closures
+    read and insert Gaussian-integer rows through ``echelon`` itself.
     """
 
     def __init__(self, zero, elements: Iterable = ()):
         self.zero = zero
-        self._ech = Echelon()
+        self.echelon = Echelon()
         for elem in elements:
             self.add(elem)
 
     @property
     def dim(self) -> int:
-        return self._ech.dim
+        return self.echelon.dim
 
     def add(self, elem) -> bool:
         """Extend the span by ``elem``; True if it was independent."""
         self.zero._require_same(elem)
-        return self._ech.insert(elem.terms)
+        return self.echelon.insert(clear_denominators(elem.terms))
 
     def contains(self, elem) -> bool:
         self.zero._require_same(elem)
-        return self._ech.contains(elem.terms)
+        return self.echelon.contains(clear_denominators(elem.terms))
 
     def elements(self) -> list:
-        """A basis of the span: the echelon rows as elements, in the order
-        they were accepted.  A later ``add`` only appends to this list."""
+        """``echelon.rows()`` as elements."""
         return [
             self.zero._like({col: from_ints(a, b, 1) for col, (a, b) in row.items()})
-            for row in self._ech._rows.values()
+            for row in self.echelon.rows()
         ]
 
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot; built
         anew on each call."""
-        return [self.zero._like(row) for _, row in self._ech.reduced_basis()]
+        return [self.zero._like(row) for _, row in self.echelon.reduced_basis()]

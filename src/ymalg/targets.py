@@ -9,7 +9,8 @@ element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``,
 ``element({label: scalar})`` (one builder for both) and ``format(terms)``,
 which renders its elements.  Elements are ``Combination``s whose space is
 the target (``WittElement``s all share the Witt space); each bracket is
-``linalg.bilinear`` over the target's rule for a pair of basis keys.
+``linalg.bilinear`` over the target's rule for a pair of basis keys;
+closures use ``linalg.row_bilinear`` over an integer multiple of that rule.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -23,8 +24,12 @@ import re
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import Combination, Subspace, Value, accumulate, bilinear
-from .scalars import GaussianRational, format_linear, parse_scalar
+from .linalg import (
+    Combination, Echelon, Subspace, Value, accumulate, bilinear, row_bilinear
+)
+from .scalars import (
+    GaussianRational, clear_denominators, format_linear, from_ints, parse_scalar
+)
 
 
 # -- structure-constant algebras ----------------------------------------------
@@ -85,6 +90,11 @@ class StructureConstantAlgebra(_Labelled):
             table[(j, i)] = {k: -c for k, c in coords.items()}
         self._table = table
         self._check_jacobi()
+        # the table times the lcm of all its denominators, over Z[i]
+        zi = clear_denominators(
+            {(i, j, k): c for (i, j), vec in table.items() for k, c in vec.items()}
+        )
+        self._row_table = {ij: {k: zi[(*ij, k)] for k in v} for ij, v in table.items()}
 
     @property
     def dim(self) -> int:
@@ -92,6 +102,9 @@ class StructureConstantAlgebra(_Labelled):
 
     def _pair(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
+
+    def _row_pair(self, i: int, j: int) -> dict:
+        return self._row_table.get((i, j), {})
 
     def _check_jacobi(self):
         m = self.dim
@@ -265,22 +278,23 @@ def subalgebra_closure(
     if not gens:
         raise ValueError("need a nonempty generator list")
     space = Subspace(algebra.zero(), gens)  # ValueError on mismatch
-    return _bracket_closure(space, algebra.bracket)
+    return _bracket_closure(space, algebra._row_pair)
 
 
-def _bracket_closure(space: Subspace, bracket, rounds=None) -> Subspace:
+def _bracket_closure(space: Subspace, pair, rounds=None) -> Subspace:
     """Add [S, S] to the span S, round after round, until it stops growing
     or ``rounds`` rounds (None: no limit) have run.
 
-    A round brackets the echelon rows accepted since the last round against
-    every earlier row and each other.  A stored row never changes, so the
-    brackets of two older rows are already in the span."""
+    A round brackets the Z[i] echelon rows accepted since the last round
+    against every earlier row and each other (``row_bilinear`` over the
+    integer rule ``pair``).  A stored row never changes, so the brackets of
+    two older rows are already in the span."""
     done = 0  # rows bracketed in earlier rounds
     while rounds is None or rounds > 0:
-        rows = space.elements()
+        rows = space.echelon.rows()
         for i in range(done, len(rows)):
             for b in rows[:i]:
-                space.add(bracket(rows[i], b))
+                space.echelon.insert(row_bilinear(rows[i], b, pair))
         if space.dim == len(rows):
             break
         done = len(rows)
@@ -292,11 +306,11 @@ def _bracket_span(
     algebra: StructureConstantAlgebra, A: Subspace, B: Subspace
 ) -> Subspace:
     """[A, B] as a Subspace; [A, A] brackets each pair of basis elements once."""
-    left = A.elements()
+    left = A.echelon.rows()
     span = Subspace(algebra.zero())
     for i, a in enumerate(left):
-        for b in left[i + 1 :] if B is A else B.elements():
-            span.add(algebra.bracket(a, b))
+        for b in left[i + 1 :] if B is A else B.echelon.rows():
+            span.echelon.insert(row_bilinear(a, b, algebra._row_pair))
     return span
 
 
@@ -326,7 +340,7 @@ def series_analysis(
     starts both series."""
     algebra.zero()._require_same(space.zero)  # ValueError on algebra mismatch
     square = _bracket_span(algebra, space, space)
-    if not all(space.contains(x) for x in square.elements()):
+    if not all(space.echelon.contains(row) for row in square.echelon.rows()):
         raise ValueError("subspace is not bracket-closed")
 
     def descend(step) -> tuple:
@@ -402,9 +416,6 @@ def witt_c(coeff=1) -> WittElement:
     return WittElement({WITT_CENTRAL: coeff})
 
 
-_TWELVE = GaussianRational(12)
-
-
 def _witt_pair(n, m) -> dict:
     # [e_n, e_m] = (m - n) e_{m+n}; the central element brackets to zero
     if n == m or WITT_CENTRAL in (n, m):
@@ -412,11 +423,16 @@ def _witt_pair(n, m) -> dict:
     return {n + m: m - n}
 
 
-def _virasoro_pair(n, m) -> dict:
-    rule = _witt_pair(n, m)
-    if rule and n + m == 0:
-        rule[WITT_CENTRAL] = GaussianRational(m**3 - m) / _TWELVE
+def _virasoro_row_pair(n, m) -> dict:
+    # 12 times the Virasoro rule; m^3 - m vanishes for m = 1 and -1
+    rule = {k: 12 * x for k, x in _witt_pair(n, m).items()}
+    if rule and n + m == 0 and m * m != 1:
+        rule[WITT_CENTRAL] = m**3 - m
     return rule
+
+
+def _virasoro_pair(n, m) -> dict:
+    return {k: from_ints(x, 0, 12) for k, x in _virasoro_row_pair(n, m).items()}
 
 
 def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> WittElement:
@@ -489,22 +505,19 @@ def generated_window(
     if not gens:
         raise ValueError("need a nonempty generator list")
 
-    span = _bracket_closure(Subspace(target.zero(), gens), target.bracket, depth - 1)
+    pair = _virasoro_row_pair if target.virasoro else _witt_pair
+    span = _bracket_closure(Subspace(target.zero(), gens), pair, depth - 1)
     # project the span onto e_{-window}..e_{window} and c, then test each
     # unit vector
     keys = (*range(-window, window + 1), WITT_CENTRAL)
     window_keys = set(keys)
-    restricted = Subspace(
-        target.zero(),
-        (
-            elem._like({k: c for k, c in elem.terms.items() if k in window_keys})
-            for elem in span.elements()
-        ),
-    )
+    restricted = Echelon()
+    for row in span.echelon.rows():
+        restricted.insert({k: x for k, x in row.items() if k in window_keys})
     return WindowReport(
         depth=depth,
         window=window,
-        covered=tuple(k for k in keys[:-1] if restricted.contains(witt_e(k))),
-        central_covered=restricted.contains(witt_c()),
+        covered=tuple(k for k in keys[:-1] if restricted.contains({k: (1, 0)})),
+        central_covered=restricted.contains({WITT_CENTRAL: (1, 0)}),
         span_dim=span.dim,
     )

@@ -20,11 +20,12 @@ from .free_lie import (
     DEFAULT_DEGREE_CAP,
     FreeLieElement,
     GradedDims,
+    _bracket_words,
     _check_cap,
     bracket,
     free_lie_dim,
 )
-from .linalg import Subspace, Value
+from .linalg import Subspace, Value, row_bilinear
 
 
 class Presentation(Value):
@@ -85,10 +86,10 @@ def _ideal_component(pres: Presentation, d: int) -> Subspace:
         FreeLieElement.zero(n), (r for r in pres.relators if r.degrees() == (d,))
     )
     if d > 1:
-        generators = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
-        for elem in _ideal_component(pres, d - 1).elements():
+        generators = [{(j,): (1, 0)} for j in range(1, n + 1)]
+        for row in _ideal_component(pres, d - 1).echelon.rows():
             for x in generators:
-                space.add(bracket(x, elem))
+                space.echelon.insert(row_bilinear(x, row, _bracket_words))
     return space
 
 

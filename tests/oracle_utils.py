@@ -212,6 +212,24 @@ def oracle_sl_matrix(coords: dict) -> dict:
     return out
 
 
+# sl(2) in the basis (a, b, c) = (e/2, i*h, 3f), as custom-algebra JSON: its
+# constants have a denominator and i.  SL2_SCALED_LABELS gives each basis
+# element as an sl(2) label and a factor, for oracle_sl_matrix.
+SL2_SCALED = {
+    "basis": ["a", "b", "c"],
+    "brackets": [
+        {"i": "a", "j": "b", "coords": {"a": "-2i"}},
+        {"i": "a", "j": "c", "coords": {"b": "-3/2i"}},
+        {"i": "b", "j": "c", "coords": {"c": "-2i"}},
+    ],
+}
+SL2_SCALED_LABELS = {
+    "a": ("e", (Fraction(1, 2), Fraction(0))),
+    "b": ("h", (Fraction(0), Fraction(1))),
+    "c": ("f", (Fraction(3), Fraction(0))),
+}
+
+
 def oracle_matrix_bracket(A: dict, B: dict) -> dict:
     out: dict = {}
     for (a, b), x in A.items():

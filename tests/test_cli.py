@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ymalg.cli import MAX_SL_SIZE, main
+from ymalg.cli import MAX_SL_SIZE, MAX_WINDOW_DEPTH, main
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
 
@@ -214,14 +214,16 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "spec, message",
+        "spec, extra, message",
         [
             (
                 {"n": 1, "target": "sl2", "images": [{"q": "0"}]},
+                (),
                 "bad image: unknown basis label 'q' in sl(2) (has e, h, f)",
             ),
             (
                 {"n": 1, "target": "sl2", "images": [{"e": True}]},
+                (),
                 "bad image: cannot parse scalar True",
             ),
             (
@@ -235,13 +237,19 @@ class TestVerify:
                     },
                     "images": [{"x": "1"}],
                 },
+                (),
                 "bad custom algebra: cannot parse scalar True",
             ),
+            (
+                {"n": 1, "target": "witt", "images": [{"e_1": "1"}]},
+                ("--depth", str(MAX_WINDOW_DEPTH + 1)),
+                f"--depth {MAX_WINDOW_DEPTH + 1} is above the cap {MAX_WINDOW_DEPTH}",
+            ),
         ],
-        ids=["zero-coefficient-label", "bool-image", "bool-coords"],
+        ids=["zero-coefficient-label", "bool-image", "bool-coords", "depth-over-cap"],
     )
-    def test_input_error_message(self, spec_file, spec, message):
-        code, out, err = run_main("verify", spec_file("bad.json", spec))
+    def test_input_error_message(self, spec_file, spec, extra, message):
+        code, out, err = run_main("verify", spec_file("bad.json", spec), *extra)
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
@@ -481,6 +489,9 @@ class TestPair:
             ("--target", "sl2", "--a", "+", "--b", "f"),
             ("--target", "sl2", "--a=--", "--b", "f"),
             ("--target", "heisenberg", "--a", "p", "--b", "q", "--virasoro"),
+            # a window depth above the cap
+            ("--target", "witt", "--depth", str(MAX_WINDOW_DEPTH + 1)),
+            ("--target", "virasoro", "--depth", "1000", "--window", "3"),
         ],
     )
     def test_grammars_take_only_their_documented_form(self, argv):

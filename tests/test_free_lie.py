@@ -19,10 +19,9 @@ from ymalg.free_lie import (
     free_lie_dim,
     is_lyndon,
     lyndon_basis,
-    scalar_combine,
     standard_factorization,
 )
-from ymalg.scalars import GaussianRational, I, ONE
+from ymalg.scalars import I, ONE
 
 
 def words(n, d):
@@ -175,22 +174,6 @@ def test_bracket_antisymmetry_property(da, db, seed):
 
 
 class TestElements:
-    def test_scalar_combine_examples(self):
-        x1 = FreeLieElement.generator(2, 1)
-        assert scalar_combine([ONE, -ONE], [x1, x1]).is_zero
-        elem = scalar_combine([I], [x1])
-        assert elem.terms[LyndonWord((1,))] == GaussianRational(0, 1)
-        half = GaussianRational.parse("1/2")
-        w12 = FreeLieElement.basis_element(2, (1, 2))
-        assert scalar_combine([half, half], [w12, w12]) == w12
-
-    def test_scalar_combine_errors(self):
-        x1 = FreeLieElement.generator(2, 1)
-        with pytest.raises(ValueError):
-            scalar_combine([ONE], [x1, x1])
-        with pytest.raises(ValueError):
-            scalar_combine([], [])
-
     def test_no_zero_coefficients_stored(self):
         rng = random.Random(3)
         for _ in range(40):

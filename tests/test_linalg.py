@@ -4,25 +4,36 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import fraction_rank, hilbert_series_dims, rand_scalar
-from ymalg.free_lie import FreeLieElement, lyndon_basis
-from ymalg.linalg import Echelon, Subspace, rank
+from oracle_utils import SL2_SCALED, fraction_rank, hilbert_series_dims, rand_scalar
+from ymalg.free_lie import FreeLieElement, _bracket_words, bracket, lyndon_basis
+from ymalg.linalg import Echelon, Subspace, rank, row_bilinear
 from ymalg.morphisms import solvable_image_audit
-from ymalg.scalars import GaussianRational as GR
+from ymalg.scalars import GaussianRational as GR, clear_denominators
 from ymalg.targets import (
     WITT_CENTRAL,
     WittElement,
     WittTarget,
+    _virasoro_row_pair,
+    _witt_pair,
+    algebra_from_json,
     generated_window,
     heisenberg,
+    series_analysis,
     sl_algebra,
+    subalgebra_closure,
     witt_e,
 )
-from ymalg.ym_quotient import _ideal_component, ym_graded_dims
+from ymalg.ym_quotient import (
+    _ideal_component,
+    ideal_graded_component,
+    ym_graded_dims,
+    ym_relations,
+)
 
 
 def sparse(row):
-    return {k: c for k, c in enumerate(row) if c}
+    """A dense Q(i) row as the Gaussian-integer row Echelon takes."""
+    return clear_denominators(dict(enumerate(row)))
 
 
 def echelon_of(rows):
@@ -54,6 +65,23 @@ def test_rank_against_division_oracle():
             [rand_scalar(rng, 4) for _ in range(ncols)] for _ in range(nrows)
         ]
         assert rank(rows) == fraction_rank(rows)
+    # single-entry rows with non-real leads among dense rows: a row led in
+    # the column of a single-entry pivot row just drops that column
+    leads = (GR(1, 1), GR(0, 2), GR(-3))
+    for _ in range(60):
+        ncols = rng.randint(2, 8)
+        rows = []
+        for _ in range(rng.randint(2, 12)):
+            if rng.random() < 0.6:
+                row = [GR(0)] * ncols
+                row[rng.randrange(ncols)] = rng.choice(leads)
+            else:
+                row = [rand_scalar(rng, 4) for _ in range(ncols)]
+            rows.append(row)
+        assert rank(rows) == fraction_rank(rows)
+        ech = echelon_of(rows)
+        assert ech.dim == rank(rows)
+        assert all(ech.contains(sparse(row)) for row in rows)
 
 
 def test_rref_is_canonical():
@@ -190,6 +218,42 @@ def test_library_never_builds_reduced_basis(monkeypatch):
     assert run() == expected
 
 
+def test_closures_combine_no_scalar(monkeypatch):
+    """Witt and Virasoro windows, subalgebra closure with its series, and
+    ideal closure bracket Gaussian-integer rows: no Q(i) product or sum is
+    formed and no Combination is bracketed."""
+    witt = [witt_e(-2), witt_e(3)]
+    virasoro = [witt_e(-1) * GR(1, 2) + witt_e(2), witt_e(3) * GR(Fraction(1, 3))]
+    sl3 = sl_algebra(3)
+    gens = [sl3.element({"E12": "1", "H1": "1/2"}), sl3.element({"E23": "i"})]
+    weak = ym_relations(3)
+
+    def run():
+        _ideal_component.cache_clear()
+        closure = subalgebra_closure(sl3, gens)
+        series = series_analysis(sl3, closure)
+        return (
+            generated_window(WittTarget(), witt, depth=5, window=4),
+            generated_window(WittTarget(True), virasoro, depth=4, window=3),
+            closure.dim,
+            series.derived_dims,
+            series.lower_central_dims,
+            [ideal_graded_component(weak, d).dim for d in range(1, 6)],
+        )
+
+    expected = run()
+    assert expected[2:] == (3, (3, 2, 0), (3, 2), [0, 0, 3, 8, 24])
+
+    def refuse(*args):
+        raise AssertionError("a closure combined Q(i) scalars")
+
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(GR, attr, refuse)
+    for module in ("linalg", "targets", "free_lie"):
+        monkeypatch.setattr(f"ymalg.{module}.bilinear", refuse)
+    assert run() == expected
+
+
 # -- the shared element arithmetic ---------------------------------------------
 
 scalars = st.builds(
@@ -205,10 +269,22 @@ def combinations(keys, build):
 
 
 _F3 = [w for d in (1, 2, 3) for w in lyndon_basis(3, d)]
+_SL2_SCALED = algebra_from_json(SL2_SCALED)
 ELEMENTS = {
     "free_lie": combinations(_F3, lambda t: FreeLieElement(3, t)),
     "target": combinations(range(3), sl_algebra(2).element),
+    "custom": combinations(range(3), _SL2_SCALED.element),
     "witt": combinations([*range(-3, 4), WITT_CENTRAL], WittElement),
+}
+# each kind's Q(i) brackets, with the integer row rules closures use for them
+RULES = {
+    "free_lie": [(bracket, _bracket_words)],
+    "target": [(sl_algebra(2).bracket, sl_algebra(2)._row_pair)],
+    "custom": [(_SL2_SCALED.bracket, _SL2_SCALED._row_pair)],
+    "witt": [
+        (WittTarget().bracket, _witt_pair),
+        (WittTarget(True).bracket, _virasoro_row_pair),
+    ],
 }
 
 
@@ -228,6 +304,21 @@ def test_vector_space_laws(kind, data):
     assert (a * 0).is_zero
     x, y = (a + b) + c, c + (b + a)
     assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_bilinear_spans_the_bracket(kind, data):
+    # a row rule may scale the bracket by one nonzero constant, nothing more
+    u, v = (data.draw(ELEMENTS[kind]) for _ in range(2))
+    for bracket_of, pair in RULES[kind]:
+        ech = Echelon()
+        ech.insert(
+            row_bilinear(clear_denominators(u.terms), clear_denominators(v.terms), pair)
+        )
+        expected = clear_denominators(bracket_of(u, v).terms)
+        assert ech.dim == bool(expected) and ech.contains(expected)
 
 
 def test_mixed_ambients_raise_value_error():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_utils import (
+    SL2_SCALED,
+    SL2_SCALED_LABELS,
     oracle_closure_dim,
     oracle_matrix_bracket,
+    pair_mul,
     oracle_witt_bracket,
     oracle_sl_matrix,
     rand_scalar,
@@ -396,6 +399,10 @@ class TestClosureOracle:
         ({-2: 1}, {3: 1}),
         ({2: 1, -1: GR(0, 1)}, {3: 1}),
         ({0: 1, 1: 2}, {-1: 1}),
+        # fractional and complex coefficients: the closure brackets rows
+        # cleared to Z[i], with 12 times the Virasoro rule
+        ({2: "1/2", -1: "1/3i"}, {3: 1}),
+        ({1: "2+i", 4: "-3/2"}, {-2: 1}),
     ]
 
     @pytest.mark.parametrize("virasoro", [False, True])
@@ -426,6 +433,34 @@ class TestClosureOracle:
                 continue
             assert subalgebra_closure(alg, gens).dim == oracle_closure_dim(
                 [oracle_sl_matrix(_pairs(c)) for c in coords], oracle_matrix_bracket
+            )
+
+    def test_custom_algebra_closure_dim(self):
+        # constants with a denominator and i, cleared by one lcm before the
+        # closure brackets rows with them
+        alg = algebra_from_json(SL2_SCALED)
+        rng = random.Random(11)
+        for _ in range(16):
+            coords = [
+                {lab: rand_scalar(rng, 2) for lab in rng.sample("abc", k)}
+                for k in (rng.randint(1, 2), rng.randint(1, 3))
+            ]
+            gens = [alg.element(c) for c in coords if any(c.values())]
+            if not gens:
+                continue
+            matrices = [
+                oracle_sl_matrix(
+                    {
+                        SL2_SCALED_LABELS[lab][0]: pair_mul(
+                            SL2_SCALED_LABELS[lab][1], (x.re, x.im)
+                        )
+                        for lab, x in c.items()
+                    }
+                )
+                for c in coords
+            ]
+            assert subalgebra_closure(alg, gens).dim == oracle_closure_dim(
+                matrices, oracle_matrix_bracket
             )
 
 
