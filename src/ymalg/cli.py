@@ -29,7 +29,7 @@ class CliInputError(ValueError):
 
 _SL_TARGET = re.compile(r"sl([0-9]+)|sl\(([0-9]+)\)")
 # building sl(m) checks Jacobi on every basis triple, which grows like m^6
-# (about 2 s for m = 12 on a 2-vCPU VM)
+# (about 1 s for m = 12 on a 2-vCPU VM)
 MAX_SL_SIZE = 12
 # each Witt window round costs about 4x the last (depth 12: 1.3 s, 2 vCPUs)
 MAX_WINDOW_DEPTH = 12

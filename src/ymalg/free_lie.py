@@ -8,10 +8,10 @@ w = u v, where v is the lexicographically least (equivalently: longest
 Lyndon) proper suffix of w.
 
 Brackets of basis elements are rewritten into the basis by the classical
-Lyndon bracketing recursion, memoized per word pair.  Coefficients in the
-rewriting core are plain integers; Q(i) scalars only enter at the element
-level.  ``FreeTarget(m)`` is the space of every element of f(m), and a
-morphism target; ``bracket`` is ``linalg.bilinear`` over that recursion.
+Lyndon bracketing recursion, memoized per word pair, in integers: the one
+rule of every f(m) bracket over Gaussian-integer rows (``row_bilinear``;
+``bracket`` clears its operands to rows).  ``FreeTarget(m)`` is the space
+of every element of f(m), and a morphism target.
 """
 
 from __future__ import annotations
@@ -270,10 +270,10 @@ def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     """The Lie bracket [a, b], expanded in the Lyndon basis.
 
     Bilinear over Q(i); basis pairs are rewritten by the memoized Lyndon
-    bracketing recursion.
+    bracketing recursion, on the operands cleared to Gaussian-integer rows.
     """
     a._require_same(b)
-    return a._like(bilinear(a.terms, b.terms, _bracket_words))
+    return a._like(bilinear(a.terms, b.terms, _bracket_words, 1))
 
 
 class GradedDims(Value):

@@ -114,7 +114,7 @@ def build_realization(A: MatrixData) -> RealizationOfMatrix:
     ech = Echelon()
     independent = []
     for idx in range(m):
-        if ech.insert(clear_denominators({i: A.entries[i][idx] for i in range(m)})):
+        if ech.insert(clear_denominators({i: A.entries[i][idx] for i in range(m)})[0]):
             independent.append(idx)
     fill = [idx for idx in range(m) if idx not in independent]
     pi = []

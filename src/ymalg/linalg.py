@@ -4,21 +4,23 @@
 a Combination's terms enter through ``clear_denominators`` once.
 Elimination is fraction-free: a cross multiplication per step, or dropping
 the column of a single-entry pivot row; only stored rows are
-content-reduced.  Pivots are the first nonzero column of each row.
-Closures bracket the stored rows (``Echelon.rows``, never changed) with
-``row_bilinear`` over an integer rule for a pair of basis keys: the
-target's bracket times one nonzero constant (12 for Virasoro, the lcm of a
-constant table's denominators), which leaves every span the same.  The
+content-reduced.  Pivots are the first nonzero column of each row.  The
 canonical reduced basis is built only on request (``Echelon.rref``).
+
+Every bracket is ``row_bilinear`` over a target's one integer rule for a
+pair of basis keys: its bracket times one nonzero constant (12 for
+Virasoro, the lcm of a constant table's denominators).  Closures bracket
+the stored rows (``Echelon.rows``, never changed), whose span the constant
+leaves the same; ``bilinear`` brackets two elements cleared to rows.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
 ``Combination(space, terms)`` is every algebra element: a finite
 Q(i)-linear combination of basis keys of its space, rendered by
-``space.format(terms)``; ``bilinear`` is its bracket over the rule in Q(i).
-``Subspace`` wraps an Echelon around a span in one space: ideal components,
-subalgebra closures, series terms and Witt windows.  ``Value`` is the base
-of the small immutable types with value equality, such as the spaces.
+``space.format(terms)``.  ``Subspace`` wraps an Echelon around a span in
+one space: ideal components, subalgebra closures, series terms and Witt
+windows.  ``Value`` is the base of the small immutable types with value
+equality, such as the spaces.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class Echelon:
 def rank(matrix: Iterable[Sequence]) -> int:
     ech = Echelon()
     for row in matrix:
-        ech.insert(clear_denominators(dict(enumerate(row))))
+        ech.insert(clear_denominators(dict(enumerate(row)))[0])
     return ech.dim
 
 
@@ -155,14 +157,17 @@ def accumulate(acc: dict, key, value) -> None:
 
 
 def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
-    """``bilinear`` over Gaussian-integer rows {key: (a, b)}: ``pair(i, j)``
-    maps keys to nonzero ints or Gaussian-integer pairs (x, y)."""
+    """The bilinear extension of an integer rule over Z[i] rows {key: (a, b)}:
+    ``pair(i, j)`` maps keys to nonzero ints or Z[i] pairs (x, y)."""
     out: dict = {}
     for i, (a, b) in u.items():
         for j, (c, d) in v.items():
-            for k, x in pair(i, j).items():
+            rule = pair(i, j)
+            if not rule:
+                continue
+            re, im = a * c - b * d, a * d + b * c
+            for k, x in rule.items():
                 x, y = (x, 0) if type(x) is int else x
-                re, im = a * c - b * d, a * d + b * c
                 p, q = out.get(k, (0, 0))
                 p, q = p + re * x - im * y, q + re * y + im * x
                 out[k] = (p, q)
@@ -171,19 +176,14 @@ def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
     return out
 
 
-def bilinear(u_terms: Mapping, v_terms: Mapping, pair) -> dict:
-    """The bilinear extension of a basis-pair rule: ``pair(i, j)`` is the
-    bracket of basis keys i and j as {key: coefficient}, empty when it
-    vanishes.  Returns the clean terms of [sum c_i b_i, sum c_j b_j]."""
-    out: dict = {}
-    for i, ci in u_terms.items():
-        for j, cj in v_terms.items():
-            rule = pair(i, j)
-            if rule:
-                c = ci * cj
-                for k, coeff in rule.items():
-                    accumulate(out, k, c * coeff)
-    return out
+def bilinear(u_terms: Mapping, v_terms: Mapping, pair, scale: int) -> dict:
+    """The terms of [sum c_i b_i, sum c_j b_j] for a rule ``pair`` that is
+    ``scale`` times the bracket: each operand is cleared to a Z[i] row once,
+    and each entry of ``row_bilinear`` is divided by the lcms and ``scale``."""
+    u, m = clear_denominators(u_terms)
+    v, n = clear_denominators(v_terms)
+    d = m * n * scale
+    return {k: from_ints(a, b, d) for k, (a, b) in row_bilinear(u, v, pair).items()}
 
 
 class Value:
@@ -307,18 +307,11 @@ class Subspace:
     def add(self, elem) -> bool:
         """Extend the span by ``elem``; True if it was independent."""
         self.zero._require_same(elem)
-        return self.echelon.insert(clear_denominators(elem.terms))
+        return self.echelon.insert(clear_denominators(elem.terms)[0])
 
     def contains(self, elem) -> bool:
         self.zero._require_same(elem)
-        return self.echelon.contains(clear_denominators(elem.terms))
-
-    def elements(self) -> list:
-        """``echelon.rows()`` as elements."""
-        return [
-            self.zero._like({col: from_ints(a, b, 1) for col, (a, b) in row.items()})
-            for row in self.echelon.rows()
-        ]
+        return self.echelon.contains(clear_denominators(elem.terms)[0])
 
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot; built

@@ -82,8 +82,6 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if type(other) is int:
-                return from_ints(self._a * other, self._b * other, self._d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -182,10 +180,10 @@ def from_ints(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
-def clear_denominators(values: Mapping) -> dict:
+def clear_denominators(values: Mapping) -> tuple:
     """Scale a mapping of GaussianRationals by the lcm ``n`` of their
-    denominators: ``{key: (x, y)}`` over Z[i] with ``value = (x + y*i) / n``.
-    Zero values are dropped."""
+    denominators: ``({key: (x, y)}, n)``, a row over Z[i] with
+    ``value = (x + y*i) / n``.  Zero values are dropped."""
     lcm = 1
     for c in values.values():
         lcm = lcm * c._d // gcd(lcm, c._d)
@@ -194,7 +192,7 @@ def clear_denominators(values: Mapping) -> dict:
         if c._a or c._b:
             k = lcm // c._d
             out[key] = (c._a * k, c._b * k)
-    return out
+    return out, lcm
 
 
 def _exact(part) -> Fraction:

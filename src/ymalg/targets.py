@@ -8,9 +8,10 @@ elements over the basis {e_k : k in Z} (+ c).  Every target has the same
 element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``,
 ``element({label: scalar})`` (one builder for both) and ``format(terms)``,
 which renders its elements.  Elements are ``Combination``s whose space is
-the target (``WittElement``s all share the Witt space); each bracket is
-``linalg.bilinear`` over the target's rule for a pair of basis keys;
-closures use ``linalg.row_bilinear`` over an integer multiple of that rule.
+the target (``WittElement``s all share the Witt space).  Each target has one
+integer rule for a pair of basis keys, its bracket times a constant (the lcm
+of a constant table's denominators, 12 for Virasoro), and every bracket, of
+echelon rows or of elements, is ``linalg.row_bilinear`` over it.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -27,9 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .linalg import (
     Combination, Echelon, Subspace, Value, accumulate, bilinear, row_bilinear
 )
-from .scalars import (
-    GaussianRational, clear_denominators, format_linear, from_ints, parse_scalar
-)
+from .scalars import GaussianRational, clear_denominators, format_linear, parse_scalar
 
 
 # -- structure-constant algebras ----------------------------------------------
@@ -60,8 +59,9 @@ class StructureConstantAlgebra(_Labelled):
 
     ``brackets`` maps ordered index pairs (i, j) to sparse coefficient
     vectors {k: scalar} for [b_i, b_j].  Antisymmetric completion is applied:
-    the table holds both orientations of every given pair.  Conflicting
-    (i, j)/(j, i) entries or a Jacobi failure raise ValueError.
+    the table holds both orientations of every given pair.  An index that is
+    not an int in range(dim), conflicting (i, j)/(j, i) entries or a Jacobi
+    failure raise ValueError.
     """
 
     def __init__(self, basis_labels: Sequence[str], brackets: Mapping, name: str = ""):
@@ -73,6 +73,9 @@ class StructureConstantAlgebra(_Labelled):
         self._index = {lab: k for k, lab in enumerate(labels)}
         table: dict = {}
         for (i, j), vec in brackets.items():
+            for key in (i, j, *vec):
+                if type(key) is not int or not 0 <= key < len(labels):
+                    raise ValueError(f"bracket key {key!r} is not a basis index")
             coords = {
                 k: (c if isinstance(c, GaussianRational) else parse_scalar(c))
                 for k, c in vec.items()
@@ -88,35 +91,41 @@ class StructureConstantAlgebra(_Labelled):
                 )
             table[(i, j)] = coords
             table[(j, i)] = {k: -c for k, c in coords.items()}
-        self._table = table
-        self._check_jacobi()
-        # the table times the lcm of all its denominators, over Z[i]
-        zi = clear_denominators(
+        # the one integer rule: the table times the lcm of all its
+        # denominators, over Z[i]
+        zi, self._scale = clear_denominators(
             {(i, j, k): c for (i, j), vec in table.items() for k, c in vec.items()}
         )
         self._row_table = {ij: {k: zi[(*ij, k)] for k in v} for ij, v in table.items()}
+        self._check_jacobi()
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def _pair(self, i: int, j: int) -> dict:
-        return self._table.get((i, j), {})
-
     def _row_pair(self, i: int, j: int) -> dict:
         return self._row_table.get((i, j), {})
 
     def _check_jacobi(self):
+        # on the integer table: the Jacobi sum is quadratic in the
+        # constants, so scaling them keeps its zero test
         m = self.dim
+        get = self._row_table.get
+        empty: dict = {}
         for i in range(m):
             for j in range(i + 1, m):
+                ij = get((i, j), empty)
                 for k in range(j + 1, m):
+                    # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
                     acc: dict = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, coeff in self._pair(a, b).items():
-                            for t, coeff2 in self._pair(l, c).items():
-                                accumulate(acc, t, coeff * coeff2)
-                    if acc:
+                    for inner, c in (
+                        (ij, k), (get((j, k), empty), i), (get((k, i), empty), j)
+                    ):
+                        for l, (x, y) in inner.items():
+                            for t, (z, w) in get((l, c), empty).items():
+                                p, q = acc.get(t, (0, 0))
+                                acc[t] = (p + x * z - y * w, q + x * w + y * z)
+                    if acc and any(p or q for p, q in acc.values()):
                         raise ValueError(
                             "Jacobi identity fails on basis triple "
                             f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
@@ -143,7 +152,7 @@ class StructureConstantAlgebra(_Labelled):
         """Bilinear extension of the structure constants."""
         if u.space is not self or v.space is not self:
             raise ValueError("algebra mismatch in bracket")
-        return Combination(self, bilinear(u.terms, v.terms, self._pair))
+        return u._like(bilinear(u.terms, v.terms, self._row_pair, self._scale))
 
     def format(self, terms: Mapping) -> str:
         return format_linear((self.labels[k], terms[k]) for k in sorted(terms))
@@ -431,16 +440,12 @@ def _virasoro_row_pair(n, m) -> dict:
     return rule
 
 
-def _virasoro_pair(n, m) -> dict:
-    return {k: from_ints(x, 0, 12) for k, x in _virasoro_row_pair(n, m).items()}
-
-
 def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> WittElement:
     """[e_n, e_m] = (m - n) e_{m+n}, plus the central cocycle
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
     The central element brackets to zero."""
-    pair = _virasoro_pair if virasoro else _witt_pair
-    return u._like(bilinear(u.terms, v.terms, pair))
+    pair, scale = (_virasoro_row_pair, 12) if virasoro else (_witt_pair, 1)
+    return u._like(bilinear(u.terms, v.terms, pair, scale))
 
 
 _WITT_LABEL = re.compile(r"e_?(-?[0-9]+)")
@@ -490,7 +495,7 @@ class WindowReport(NamedTuple):
     span_dim: int
 
     def covers_window(self) -> bool:
-        return set(self.covered) == set(range(-self.window, self.window + 1))
+        return len(self.covered) == 2 * self.window + 1
 
 
 def generated_window(
@@ -507,17 +512,17 @@ def generated_window(
 
     pair = _virasoro_row_pair if target.virasoro else _witt_pair
     span = _bracket_closure(Subspace(target.zero(), gens), pair, depth - 1)
-    # project the span onto e_{-window}..e_{window} and c, then test each
-    # unit vector
-    keys = (*range(-window, window + 1), WITT_CENTRAL)
-    window_keys = set(keys)
+    # project the span onto e_{-window}..e_{window} and c, then test the
+    # unit vector of each index the span reaches in the window
+    keys = sorted({k for row in span.echelon.rows() for k in row if abs(k) <= window})
+    window_keys = {*keys, WITT_CENTRAL}
     restricted = Echelon()
     for row in span.echelon.rows():
         restricted.insert({k: x for k, x in row.items() if k in window_keys})
     return WindowReport(
         depth=depth,
         window=window,
-        covered=tuple(k for k in keys[:-1] if restricted.contains({k: (1, 0)})),
+        covered=tuple(k for k in keys if restricted.contains({k: (1, 0)})),
         central_covered=restricted.contains({WITT_CENTRAL: (1, 0)}),
         span_dim=span.dim,
     )

@@ -4,7 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import SL2_SCALED, fraction_rank, hilbert_series_dims, rand_scalar
+from oracle_utils import (
+    SL2_SCALED,
+    SL2_SCALED_LABELS,
+    fraction_rank,
+    hilbert_series_dims,
+    oracle_matrix_bracket,
+    oracle_sl_matrix,
+    oracle_witt_bracket,
+    pair_mul,
+    rand_scalar,
+    tensor_commutator,
+    tensor_of_element,
+)
 from ymalg.free_lie import FreeLieElement, _bracket_words, bracket, lyndon_basis
 from ymalg.linalg import Echelon, Subspace, rank, row_bilinear
 from ymalg.morphisms import solvable_image_audit
@@ -33,7 +45,7 @@ from ymalg.ym_quotient import (
 
 def sparse(row):
     """A dense Q(i) row as the Gaussian-integer row Echelon takes."""
-    return clear_denominators(dict(enumerate(row)))
+    return clear_denominators(dict(enumerate(row)))[0]
 
 
 def echelon_of(rows):
@@ -163,20 +175,23 @@ class TestSubspace:
         space = Subspace(sl3.zero())
         for _ in range(6):
             space.add(sl3.element({lab: rand_scalar(rng, 2) for lab in sl3.labels[:5]}))
-        rows, basis = space.elements(), space.basis_elements()
+        rows, basis = space.echelon.rows(), space.basis_elements()
         assert len(rows) == len(basis) == space.dim == 5
-        assert all(space.contains(r) for r in rows)
-        assert all(Subspace(sl3.zero(), rows).contains(b) for b in basis)
+        assert all(space.echelon.contains(r) for r in rows)
+        spanned = Echelon()
+        for row in rows:
+            spanned.insert(row)
+        assert all(spanned.contains(clear_denominators(b.terms)[0]) for b in basis)
         assert Subspace(sl3.zero(), basis).dim == space.dim
 
     def test_elements_are_independent(self):
         sl2 = sl_algebra(2)
         e, h, f = (sl2.basis_element(k) for k in ("e", "h", "f"))
         space = Subspace(sl2.zero(), [e + h, e * 2 + h * 2, h - f, e + f * GR(0, 1)])
-        rows = space.elements()
+        rows = space.echelon.rows()
         assert len(rows) == space.dim == 3
-        fresh = Subspace(sl2.zero())
-        assert all(fresh.add(r) for r in rows)
+        fresh = Echelon()
+        assert all(fresh.insert(r) for r in rows)
 
     def test_elements_only_grow_at_the_end(self):
         # the closures bracket only the rows past the ones they have seen
@@ -187,7 +202,7 @@ class TestSubspace:
         for _ in range(12):
             labels = rng.sample(sl3.labels, 2)
             space.add(sl3.element({lab: rand_scalar(rng, 2) for lab in labels}))
-            rows = space.elements()
+            rows = space.echelon.rows()
             assert rows[: len(seen)] == seen
             assert len(rows) == space.dim
             seen = rows
@@ -264,17 +279,19 @@ scalars = st.builds(
 )
 
 
-def combinations(keys, build):
-    return st.dictionaries(st.sampled_from(keys), scalars, max_size=4).map(build)
+def combinations(keys, build, coefficients=scalars):
+    return st.dictionaries(st.sampled_from(keys), coefficients, max_size=4).map(build)
 
 
 _F3 = [w for d in (1, 2, 3) for w in lyndon_basis(3, d)]
 _SL2_SCALED = algebra_from_json(SL2_SCALED)
+_SL3 = sl_algebra(3)
+_WITT_KEYS = [*range(-3, 4), WITT_CENTRAL]
 ELEMENTS = {
     "free_lie": combinations(_F3, lambda t: FreeLieElement(3, t)),
     "target": combinations(range(3), sl_algebra(2).element),
     "custom": combinations(range(3), _SL2_SCALED.element),
-    "witt": combinations([*range(-3, 4), WITT_CENTRAL], WittElement),
+    "witt": combinations(_WITT_KEYS, WittElement),
 }
 # each kind's Q(i) brackets, with the integer row rules closures use for them
 RULES = {
@@ -315,10 +332,100 @@ def test_row_bilinear_spans_the_bracket(kind, data):
     for bracket_of, pair in RULES[kind]:
         ech = Echelon()
         ech.insert(
-            row_bilinear(clear_denominators(u.terms), clear_denominators(v.terms), pair)
+            row_bilinear(
+                clear_denominators(u.terms)[0], clear_denominators(v.terms)[0], pair
+            )
         )
-        expected = clear_denominators(bracket_of(u, v).terms)
+        expected = clear_denominators(bracket_of(u, v).terms)[0]
         assert ech.dim == bool(expected) and ech.contains(expected)
+
+
+# -- element brackets against oracles that share no code with the library ------
+
+# kind -> (basis keys, element builder, the library's bracket)
+BRACKETS = {
+    "free_lie": (_F3, lambda t: FreeLieElement(3, t), bracket),
+    "sl2": (range(3), sl_algebra(2).element, sl_algebra(2).bracket),
+    "sl3": (range(8), _SL3.element, _SL3.bracket),
+    "custom": (range(3), _SL2_SCALED.element, _SL2_SCALED.bracket),
+    "witt": (_WITT_KEYS, WittElement, WittTarget().bracket),
+    "virasoro": (_WITT_KEYS, WittElement, WittTarget(True).bracket),
+}
+
+
+def _pairs(terms, name=lambda k: k) -> dict:
+    return {name(k): (c.re, c.im) for k, c in terms.items()}
+
+
+def _sl_matrix(algebra):
+    return lambda elem: oracle_sl_matrix(_pairs(elem.terms, algebra.labels.__getitem__))
+
+
+def _scaled_matrix(elem):
+    # each basis element of SL2_SCALED is a multiple of e, h or f
+    coords = {}
+    for k, c in elem.terms.items():
+        label, factor = SL2_SCALED_LABELS[_SL2_SCALED.labels[k]]
+        coords[label] = pair_mul(factor, (c.re, c.im))
+    return oracle_sl_matrix(coords)
+
+
+def _witt_pairs(elem):
+    return _pairs(elem.terms, lambda k: "c" if k == WITT_CENTRAL else k)
+
+
+# kind -> (element as the oracle sees it, the oracle's bracket)
+ORACLES = {
+    "free_lie": (tensor_of_element, tensor_commutator),
+    "sl2": (_sl_matrix(sl_algebra(2)), oracle_matrix_bracket),
+    "sl3": (_sl_matrix(_SL3), oracle_matrix_bracket),
+    "custom": (_scaled_matrix, oracle_matrix_bracket),
+    "witt": (_witt_pairs, lambda u, v: oracle_witt_bracket(u, v, False)),
+    "virasoro": (_witt_pairs, lambda u, v: oracle_witt_bracket(u, v, True)),
+}
+
+# rational and complex coefficients whose denominators meet the 12 of the
+# Virasoro cocycle and the 2 of SL2_SCALED's constants
+fractional_scalars = st.builds(
+    lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.sampled_from((1, 2, 3, 5)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(BRACKETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_the_oracle(kind, data):
+    keys, build, bracket_of = BRACKETS[kind]
+    as_oracle, oracle_bracket = ORACLES[kind]
+    u, v = (data.draw(combinations(keys, build, fractional_scalars)) for _ in range(2))
+    assert as_oracle(bracket_of(u, v)) == oracle_bracket(as_oracle(u), as_oracle(v))
+
+
+def test_element_brackets_combine_no_scalar(monkeypatch):
+    """An element bracket clears each operand to a Gaussian-integer row and
+    brackets the rows over the target's integer rule: no Q(i) product or
+    sum is formed, only one division per output entry."""
+    rng = random.Random(13)
+    cases = []
+    for keys, build, bracket_of in BRACKETS.values():
+        for _ in range(4):
+            u, v = (
+                build({k: rand_scalar(rng) for k in rng.sample(list(keys), 3)})
+                for _ in range(2)
+            )
+            cases.append((bracket_of, u, v))
+    expected = [bracket_of(u, v) for bracket_of, u, v in cases]
+    assert sum(not x.is_zero for x in expected) > len(cases) // 2
+
+    def refuse(*args):
+        raise AssertionError("an element bracket combined Q(i) scalars")
+
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(GR, attr, refuse)
+    assert [bracket_of(u, v) for bracket_of, u, v in cases] == expected
 
 
 def test_mixed_ambients_raise_value_error():

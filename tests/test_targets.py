@@ -219,6 +219,30 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             StructureConstantAlgebra(("a",), {(0, 0): {0: GR(1)}})
 
+    def test_jacobi_rejected_with_fractional_complex_constants(self):
+        # Jacobi is checked on the table cleared to Z[i]: on (a, b, c) the
+        # sum is [[a, b], c] = i/6 * a
+        with pytest.raises(ValueError, match="Jacobi"):
+            StructureConstantAlgebra(
+                ("a", "b", "c"), {(0, 1): {1: "1/2i"}, (1, 2): {0: "1/3"}}
+            )
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [
+            {(0, 1): {5: "1"}},
+            {(0, 1): {2: "1"}},
+            {(0, 7): {1: "1"}},
+            {("x", 0): {1: "1"}},
+            {(0, 1): {"b": "1"}},
+            {(0, True): {1: "1"}},
+            {(-1, 1): {0: "1"}},
+        ],
+    )
+    def test_keys_outside_the_basis_rejected(self, brackets):
+        with pytest.raises(ValueError, match="not a basis index"):
+            StructureConstantAlgebra(("a", "b"), brackets)
+
 
 class TestClosure:
     def test_examples(self):
@@ -379,6 +403,17 @@ class TestGeneratedWindow:
             WittTarget(True), [witt_e(-2), witt_e(3)], depth=6, window=4
         )
         assert report.central_covered
+
+    @pytest.mark.parametrize("target", [WITT, WittTarget(True)])
+    def test_huge_window_costs_what_the_span_costs(self, target):
+        # only the indices in the span's support are tested, so a window of
+        # 10**12 reports what a window of 1000 does
+        gens = [witt_e(-2), witt_e(3)]
+        small = generated_window(target, gens, depth=6, window=1000)
+        huge = generated_window(target, gens, depth=6, window=10**12)
+        assert huge == small._replace(window=10**12)
+        assert not huge.covers_window()
+        assert small.central_covered == target.virasoro
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
