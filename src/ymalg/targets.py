@@ -238,6 +238,7 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
     {"basis": [names], "brackets": [{"i": ..., "j": ..., "coords": {name: scalar}}]}.
 
     Unlisted pairs default to zero; "i"/"j" may be labels or 0-based indices.
+    Two entries for one ordered pair must agree (zero coefficients dropped).
     """
     import json
 
@@ -272,7 +273,9 @@ def algebra_from_json(data) -> StructureConstantAlgebra:
         i = resolve(entry["i"])
         j = resolve(entry["j"])
         coords = {resolve(k): parse_scalar(v) for k, v in entry["coords"].items()}
-        brackets[(i, j)] = coords
+        coords = {k: c for k, c in coords.items() if c}
+        if brackets.setdefault((i, j), coords) != coords:
+            raise ValueError(f"conflicting entries for [{labels[i]}, {labels[j]}]")
     return StructureConstantAlgebra(labels, brackets, name=data.get("name", "custom"))
 
 

@@ -127,6 +127,8 @@ def ym_graded_dims(
     strong: bool = False,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> GradedDims:
+    """dim ym(n)_d for d = 1..max_degree, refused over the cap before any work."""
+    _check_cap(max_degree, degree_cap)
     return GradedDims(
         n=n,
         dims=tuple(
@@ -153,9 +155,11 @@ def ideal_membership_by_degree(
     """Per-degree ideal membership of the homogeneous parts of ``a``."""
     if a.n != pres.n:
         raise ValueError("generator count mismatch")
+    degrees = a.degrees()
+    _check_cap(max(degrees, default=0), degree_cap)  # before any component is built
     return {
         d: ideal_graded_component(pres, d, degree_cap).contains(a.homogeneous_part(d))
-        for d in a.degrees()
+        for d in degrees
     }
 
 
@@ -168,23 +172,13 @@ def dims_table(
     strong: bool = False,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> list:
-    """Rows of (degree, free_dim, ideal_dim, ym_dim) for degrees 1..max_degree."""
+    """Rows of (degree, free_dim, ideal_dim, ym_dim): a view of ``ym_graded_dims``."""
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
-    _check_cap(max_degree, degree_cap)
-    pres = ym_relations(n, strong)
     rows = []
-    for d in range(1, max_degree + 1):
+    for d, ym in enumerate(ym_graded_dims(n, max_degree, strong, degree_cap).dims, 1):
         free = free_lie_dim(n, d)
-        ideal = ideal_graded_component(pres, d, degree_cap).dim
-        rows.append(
-            {
-                "degree": d,
-                "free_dim": free,
-                "ideal_dim": ideal,
-                "ym_dim": free - ideal,
-            }
-        )
+        rows.append(dict(degree=d, free_dim=free, ideal_dim=free - ym, ym_dim=ym))
     return rows
 
 

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ymalg.cli import MAX_SL_SIZE, MAX_WINDOW_DEPTH, main
+from ymalg.cli import MAX_CUSTOM_DIM, MAX_SL_SIZE, MAX_WINDOW_DEPTH, main
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
 
@@ -245,13 +246,50 @@ class TestVerify:
                 ("--depth", str(MAX_WINDOW_DEPTH + 1)),
                 f"--depth {MAX_WINDOW_DEPTH + 1} is above the cap {MAX_WINDOW_DEPTH}",
             ),
+            (
+                {
+                    "n": 1,
+                    "target": {
+                        "custom": {
+                            "basis": ["x", "y", "z"],
+                            "brackets": [
+                                {"i": "x", "j": "y", "coords": {"z": "1"}},
+                                {"i": "x", "j": "y", "coords": {"z": "2"}},
+                            ],
+                        }
+                    },
+                    "images": [{"x": "1"}],
+                },
+                (),
+                "bad custom algebra: conflicting entries for [x, y]",
+            ),
+            (
+                # refused before the Jacobi check, which is cubic in the size
+                {
+                    "n": 1,
+                    "target": {"custom": {"basis": [f"b{k}" for k in range(144)]}},
+                    "images": [{"b0": "1"}],
+                },
+                (),
+                f"bad custom algebra: 144 basis labels; at most {MAX_CUSTOM_DIM}",
+            ),
         ],
-        ids=["zero-coefficient-label", "bool-image", "bool-coords", "depth-over-cap"],
+        ids=[
+            "zero-coefficient-label", "bool-image", "bool-coords", "depth-over-cap",
+            "conflicting-entries", "custom-over-size",
+        ],
     )
     def test_input_error_message(self, spec_file, spec, extra, message):
         code, out, err = run_main("verify", spec_file("bad.json", spec), *extra)
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    def test_largest_custom_algebra_is_accepted(self, spec_file):
+        assert MAX_CUSTOM_DIM == MAX_SL_SIZE**2 - 1
+        labels = [f"b{k}" for k in range(MAX_CUSTOM_DIM)]
+        spec = {"n": 1, "target": {"custom": {"basis": labels}}, "images": [{"b0": "1"}]}
+        code, out, _ = run_main("verify", spec_file("big.json", spec))
+        assert code == 0 and json.loads(out)["results"]["image_dim"] == 1
 
     def test_zero_denominator_is_input_error(self, spec_file):
         path = spec_file(
@@ -566,6 +604,42 @@ class TestElementFuzz:
             report = json.loads(out.getvalue())
             assert set(report) == {"command", "seed", "inputs_digest", "results"}
             assert report["results"]["residuals_zero"] is (code == 0)
+
+
+SCALAR_PARTS = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5]))
+
+
+def _target_labels(name):
+    from ymalg.cli import resolve_target
+
+    target = resolve_target(name)
+    if name in ("witt", "virasoro"):
+        labels = st.one_of(st.just("c"), st.integers(-15, 15).map("e_{}".format))
+    else:
+        labels = st.sampled_from(target.labels)
+    return target, labels
+
+
+class TestElementRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "name", ["sl2", "sl(3)", "sl(12)", "heisenberg", "witt", "virasoro"]
+    )
+    def test_parse_element_reads_back_the_printed_form(self, name, data):
+        # str(x) is what a report prints; parsing it gives x back
+        from ymalg.cli import parse_element
+        from ymalg.scalars import GaussianRational
+
+        target, labels = _target_labels(name)
+        coords = data.draw(st.dictionaries(
+            labels,
+            st.builds(GaussianRational, SCALAR_PARTS, SCALAR_PARTS),
+            min_size=1, max_size=6,
+        ))
+        x = target.element(coords)
+        assume(not x.is_zero)
+        assert parse_element(target, str(x)) == x
 
 
 class TestRealization:

@@ -540,3 +540,18 @@ class TestCustomAlgebraJson:
                     ],
                 }
             )
+
+    def test_duplicate_entries_must_agree(self):
+        # [x,y] = z and [x,y] = 2z in one spec is an error, not the last one winning
+        def spec(*coords):
+            return {
+                "basis": ["x", "y", "z"],
+                "brackets": [{"i": "x", "j": "y", "coords": c} for c in coords],
+            }
+
+        with pytest.raises(ValueError, match=r"conflicting entries for \[x, y\]"):
+            algebra_from_json(spec({"z": "1"}, {"z": "2"}))
+        # an exact repeat, up to zero coefficients, is the same bracket
+        alg = algebra_from_json(spec({"z": "1"}, {"z": "1", "x": "0"}))
+        x, y, z = (alg.basis_element(lab) for lab in "xyz")
+        assert alg.bracket(x, y) == z

@@ -184,6 +184,32 @@ class TestMembership:
             is_zero_in_ym(ym_relations(2), FreeLieElement.generator(3, 1))
 
 
+def _refuse_components(monkeypatch):
+    import ymalg.ym_quotient as yq
+
+    def refuse(pres, d):
+        raise AssertionError(f"built the degree-{d} component")
+
+    monkeypatch.setattr(yq, "_ideal_component", refuse)
+
+
+class TestCapBeforeWork:
+    # a degree over the cap is refused before any ideal component is built,
+    # not after the components below it
+
+    def test_graded_dims(self, monkeypatch):
+        _refuse_components(monkeypatch)
+        with pytest.raises(DegreeCapExceeded):
+            ym_graded_dims(3, 13)
+
+    def test_membership_checks_the_top_degree_first(self, monkeypatch):
+        _refuse_components(monkeypatch)
+        low = FreeLieElement.basis_element(3, (1,) * 8 + (2,))
+        high = FreeLieElement.basis_element(3, (1,) * 12 + (2,))
+        with pytest.raises(DegreeCapExceeded):
+            is_zero_in_ym(ym_relations(3), low + high)
+
+
 class TestInvariants:
     def test_monotone_closure(self):
         # bracketing the degree-d component with each generator lands in d+1
