@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Combination, Value, bilinear
-from .scalars import GaussianRational, format_linear, parse_scalar
+from .scalars import ONE, format_linear, parse_scalar
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -227,7 +227,7 @@ class FreeLieElement(Combination):
             word = w if isinstance(w, LyndonWord) else LyndonWord(w)
             if max(word) > n:
                 raise ValueError(f"word {word!r} uses letters above {n}")
-            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
+            c = parse_scalar(c)
             if c:
                 self.terms[word] = c
 
@@ -250,7 +250,7 @@ class FreeLieElement(Combination):
 
     @classmethod
     def basis_element(cls, n: int, word) -> "FreeLieElement":
-        return cls(n, {tuple(word): GaussianRational(1)})
+        return cls(n, {tuple(word): ONE})
 
     # -- views ------------------------------------------------------------
 

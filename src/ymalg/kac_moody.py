@@ -12,10 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .linalg import Echelon, rank
-from .scalars import GaussianRational, clear_denominators, parse_scalar
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
+from .scalars import ONE, ZERO, clear_denominators, parse_scalar
 
 
 class MatrixData(NamedTuple):
@@ -32,13 +29,7 @@ class MatrixData(NamedTuple):
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("matrix must be square and nonempty")
-        entries = tuple(
-            tuple(
-                c if isinstance(c, GaussianRational) else parse_scalar(c)
-                for c in row
-            )
-            for row in rows
-        )
+        entries = tuple(tuple(parse_scalar(c) for c in row) for row in rows)
         return cls(m=m, entries=entries, rank=rank(entries))
 
     @classmethod
@@ -119,12 +110,12 @@ def build_realization(A: MatrixData) -> RealizationOfMatrix:
     fill = [idx for idx in range(m) if idx not in independent]
     pi = []
     for j in range(m):
-        row = [A.entries[i][j] for i in range(m)] + [_ZERO] * (m - r)
+        row = [A.entries[i][j] for i in range(m)] + [ZERO] * (m - r)
         if j in fill:
-            row[m + fill.index(j)] = _ONE
+            row[m + fill.index(j)] = ONE
         pi.append(tuple(row))
     pi_check = tuple(
-        tuple(_ONE if k == i else _ZERO for k in range(h_dim)) for i in range(m)
+        tuple(ONE if k == i else ZERO for k in range(h_dim)) for i in range(m)
     )
     realization = RealizationOfMatrix(h_dim=h_dim, pi=tuple(pi), pi_check=pi_check)
     if not verify_realization(realization, A):
@@ -139,7 +130,7 @@ def pairing_matrix(R: RealizationOfMatrix) -> list:
     for i in range(m):
         row = []
         for j in range(m):
-            acc = _ZERO
+            acc = ZERO
             for x, y in zip(R.pi_check[i], R.pi[j]):
                 acc = acc + x * y
             row.append(acc)

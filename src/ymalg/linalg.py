@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import GaussianRational, clear_denominators, from_ints
+from .scalars import ZERO, GaussianRational, clear_denominators, from_ints
 
 
 def _content_reduce(row: dict) -> dict:
@@ -133,9 +133,8 @@ class Echelon:
     def rref(self, columns: Sequence) -> list:
         """Dense view of ``reduced_basis``: one Q(i) list per basis row, in
         the given column order (which must list the columns ascending)."""
-        zero = GaussianRational(0)
         return [
-            [row.get(col, zero) for col in columns] for _, row in self.reduced_basis()
+            [row.get(col, ZERO) for col in columns] for _, row in self.reduced_basis()
         ]
 
 

@@ -23,12 +23,9 @@ from typing import NamedTuple, Sequence
 
 from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Combination, Value
-from .scalars import GaussianRational, parse_scalar
+from .scalars import I, ONE, ZERO, GaussianRational, parse_scalar
 from .targets import StructureConstantAlgebra, WittTarget, analyze_image, sl_algebra
 from .ym_quotient import strong_relation_elements, ym_relations
-
-_I = GaussianRational(0, 1)
-_ONE = GaussianRational(1)
 
 
 class GeneratorMorphism:
@@ -109,7 +106,7 @@ def doubling_morphism(m: int) -> GeneratorMorphism:
     if m < 1:
         raise ValueError("need m >= 1")
     ys = [FreeLieElement.generator(m, j) for j in range(1, m + 1)]
-    images = ys + [y * _I for y in ys]
+    images = ys + [y * I for y in ys]
     return GeneratorMorphism(2 * m, FreeTarget(m), images)
 
 
@@ -138,7 +135,7 @@ def pair_to_ym4_morphism(target, a, b) -> GeneratorMorphism:
     weak residuals vanish identically by the doubling cancellation; the
     Virasoro cocycle terms cancel as well.  For a finite g the morphism is
     surjective iff {a, b} generates g."""
-    return GeneratorMorphism(4, target, [a, b, a * _I, b * _I])
+    return GeneratorMorphism(4, target, [a, b, a * I, b * I])
 
 
 # -- Fact 1: isotropic orthogonality ----------------------------------------------
@@ -150,10 +147,7 @@ def _dot(x, y):
 
 def _as_pair(p):
     x0, x1 = p
-    return (
-        x0 if isinstance(x0, GaussianRational) else parse_scalar(x0),
-        x1 if isinstance(x1, GaussianRational) else parse_scalar(x1),
-    )
+    return parse_scalar(x0), parse_scalar(x1)
 
 
 def isotropic_orthogonal_witness(x, y) -> GaussianRational:
@@ -234,7 +228,7 @@ def sl2_case_residual(p: Sl2CaseParameters) -> Sl2CaseConditions:
     if p.branch == "nilpotent":
         r3 = (two * bb + ag, bg, gg)
         rj = (
-            comb(two * bb + ag, -two * ab, -(aa + _ONE)),
+            comb(two * bb + ag, -two * ab, -(aa + ONE)),
             comb(-bg, two * ag, -ab),
             comb(-gg, -two * bg, two * bb + ag),
         )
@@ -251,11 +245,11 @@ def sl2_case_residual(p: Sl2CaseParameters) -> Sl2CaseConditions:
 def assemble_sl2_morphism(p: Sl2CaseParameters) -> GeneratorMorphism:
     """The morphism ym(3) -> sl(2) described by the branch parameters."""
     sl2 = sl_algebra(2)
-    e, h, f = (sl2.basis_element(lab) for lab in ("e", "h", "f"))
     images = [
-        e * p.alpha[k] + h * p.beta[k] + f * p.gamma[k] for k in (0, 1)
+        sl2.element({"e": p.alpha[k], "h": p.beta[k], "f": p.gamma[k]})
+        for k in (0, 1)
     ]
-    images.append(e if p.branch == "nilpotent" else h)
+    images.append(sl2.basis_element("e" if p.branch == "nilpotent" else "h"))
     return GeneratorMorphism(3, sl2, images)
 
 
@@ -267,7 +261,7 @@ def solvable_non_nilpotent_example() -> GeneratorMorphism:
     non-nilpotent image."""
     sl2 = sl_algebra(2)
     e, h = sl2.basis_element("e"), sl2.basis_element("h")
-    return GeneratorMorphism(3, sl2, [h, e, h * _I])
+    return GeneratorMorphism(3, sl2, [h, e, h * I])
 
 
 class MorphismAnalysis(NamedTuple):
@@ -308,7 +302,7 @@ def _rand_pair(rng):
     return (_rand_scalar(rng), _rand_scalar(rng))
 
 
-_ZERO_PAIR = (GaussianRational(0), GaussianRational(0))
+_ZERO_PAIR = (ZERO, ZERO)
 
 
 def sample_case_parameters(rng: random.Random, branch: str) -> Sl2CaseParameters:
@@ -326,7 +320,7 @@ def sample_case_parameters(rng: random.Random, branch: str) -> Sl2CaseParameters
             return Sl2CaseParameters(branch, _ZERO_PAIR, _rand_pair(rng), _ZERO_PAIR)
         # gamma = 0, beta isotropic, alpha a multiple of beta
         s, t = _rand_scalar(rng), _rand_scalar(rng)
-        w = (_ONE, _I if rng.random() < 0.5 else -_I)
+        w = (ONE, I if rng.random() < 0.5 else -I)
         return Sl2CaseParameters(
             branch,
             (s * w[0], s * w[1]),
@@ -340,7 +334,7 @@ def sample_case_parameters(rng: random.Random, branch: str) -> Sl2CaseParameters
     # near miss: r_3 conditions hold, the r_j ones generically fail
     if branch == "semisimple":
         return Sl2CaseParameters(branch, _rand_pair(rng), _ZERO_PAIR, _ZERO_PAIR)
-    w = (_ONE, _I)
+    w = (ONE, I)
     t = _rand_scalar(rng)
     return Sl2CaseParameters(
         branch, _rand_pair(rng), (t * w[0], t * w[1]), _ZERO_PAIR
@@ -365,7 +359,6 @@ def _audit_candidates(samples: int, seed: int):
     """The audit's candidate morphisms, drawn one at a time: the
     non-nilpotent example, the zero map, then one per sample."""
     sl2 = sl_algebra(2)
-    e, h, f = (sl2.basis_element(lab) for lab in ("e", "h", "f"))
     yield solvable_non_nilpotent_example()
     yield GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
     for k in range(samples):
@@ -375,7 +368,7 @@ def _audit_candidates(samples: int, seed: int):
         if mode == 0:
             # unconstrained random images (residuals almost surely nonzero)
             images = [
-                e * _rand_scalar(rng) + h * _rand_scalar(rng) + f * _rand_scalar(rng)
+                sl2.element({lab: _rand_scalar(rng) for lab in ("e", "h", "f")})
                 for _ in range(3)
             ]
             yield GeneratorMorphism(3, sl2, images)

@@ -8,7 +8,8 @@ plus one ``math.gcd``.  A value with ``b == 0`` hashes like the rational
 ``a/d``, so it keys a dict the same way as the equal ``int`` or ``Fraction``.
 Only this module reads the stored ints: the exact linear algebra moves
 between Q(i) and Gaussian-integer pairs through :func:`clear_denominators`
-and :func:`from_ints`.
+and :func:`from_ints`.  Outside coefficients (of terms, constants, matrices)
+enter through :func:`parse_scalar`; ``ZERO``, ``ONE`` and ``I`` are shared.
 
 Text grammar, used by the CLI and all JSON payloads: a rational renders as
 ``a/b`` with ``/b`` omitted when the denominator is 1; a nonzero imaginary
@@ -156,10 +157,6 @@ class GaussianRational:
         return "".join(parts)
 
     __repr__ = __str__
-
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        return parse_scalar(text)
 
 
 _new = object.__new__

@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .linalg import (
     Combination, Echelon, Subspace, Value, accumulate, bilinear, row_bilinear
 )
-from .scalars import GaussianRational, clear_denominators, format_linear, parse_scalar
+from .scalars import ONE, clear_denominators, format_linear, parse_scalar
 
 
 # -- structure-constant algebras ----------------------------------------------
@@ -42,7 +42,7 @@ class _Labelled:
     __slots__ = ()
 
     def basis_element(self, label) -> Combination:
-        return self.zero()._like({self._key(label): GaussianRational(1)})
+        return self.zero()._like({self._key(label): ONE})
 
     def element(self, coords: Mapping) -> Combination:
         """Sum of the terms.  Every label is resolved, even with a zero
@@ -76,10 +76,7 @@ class StructureConstantAlgebra(_Labelled):
             for key in (i, j, *vec):
                 if type(key) is not int or not 0 <= key < len(labels):
                     raise ValueError(f"bracket key {key!r} is not a basis index")
-            coords = {
-                k: (c if isinstance(c, GaussianRational) else parse_scalar(c))
-                for k, c in vec.items()
-            }
+            coords = {k: parse_scalar(c) for k, c in vec.items()}
             coords = {k: c for k, c in coords.items() if c}
             if i == j:
                 if coords:
@@ -211,7 +208,7 @@ def sl_algebra(m: int) -> StructureConstantAlgebra:
             run += M.get((i, i), 0)
             if run:
                 coords[index[i]] = run
-        return {k: GaussianRational(v) for k, v in coords.items()}
+        return coords
 
     brackets = {}
     for i in range(len(mats)):
@@ -228,7 +225,7 @@ def heisenberg() -> StructureConstantAlgebra:
     """The first Heisenberg algebra: basis (p, q, z), [p, q] = z, z central."""
     return StructureConstantAlgebra(
         ("p", "q", "z"),
-        {(0, 1): {2: GaussianRational(1)}},
+        {(0, 1): {2: 1}},
         name="heisenberg",
     )
 
@@ -413,7 +410,7 @@ class WittElement(Combination):
         for k, c in (terms or {}).items():
             if type(k) is not int and k != WITT_CENTRAL:
                 raise KeyError(f"Witt key {k!r} is neither an int nor WITT_CENTRAL")
-            c = c if isinstance(c, GaussianRational) else parse_scalar(c)
+            c = parse_scalar(c)
             if c:
                 clean[k] = c
         self.space = _WITT

@@ -57,9 +57,10 @@ def ym_relations(n: int, strong: bool = False) -> Presentation:
     if strong:
         relators = tuple(elem for (i, j), elem in grid if i != j)
     else:
+        # the grid runs over i first, so column j is every n-th entry
         relators = tuple(
-            sum((elem for (_, k), elem in grid if k == j), FreeLieElement.zero(n))
-            for j in range(1, n + 1)
+            sum((elem for _, elem in grid[j::n]), FreeLieElement.zero(n))
+            for j in range(n)
         )
     return Presentation(n, relators)
 

@@ -1,13 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
-from oracle_utils import rand_homogeneous, rand_scalar
+from oracle_utils import oracle_sl_matrix, rand_homogeneous, rand_scalar
 from ymalg.free_lie import FreeLieElement, bracket
 from ymalg.morphisms import (
     FreeTarget,
     GeneratorMorphism,
     Sl2CaseParameters,
+    _audit_candidates,
     analyze_sl2_morphism,
     assemble_sl2_morphism,
     case_oracle_mismatches,
@@ -15,6 +17,7 @@ from ymalg.morphisms import (
     isotropic_orthogonal_witness,
     pair_to_ym4_morphism,
     projection_morphism,
+    sample_case_parameters,
     sl2_case_residual,
     solvable_image_audit,
     solvable_non_nilpotent_example,
@@ -324,6 +327,29 @@ class TestSl2Case:
             assert sl2_case_residual(p).all_zero
             assert assemble_sl2_morphism(p).residuals_vanish()
 
+    @pytest.mark.parametrize("branch", ["nilpotent", "semisimple"])
+    def test_assembled_images_match_the_matrix_oracle(self, branch):
+        # phi(x_k) = alpha_k E12 + beta_k H1 + gamma_k E21 for k = 1, 2, and
+        # phi(x_3) = E12 or H1, as 2x2 matrices built without the library
+        sl2 = sl_algebra(2)
+
+        def matrix(elem):
+            return oracle_sl_matrix(
+                {sl2.labels[k]: (c.re, c.im) for k, c in elem.terms.items()}
+            )
+
+        for k in range(200):
+            p = sample_case_parameters(random.Random(f"images:{k}"), branch)
+            images = assemble_sl2_morphism(p).images
+            for j in (0, 1):
+                assert matrix(images[j]) == oracle_sl_matrix({
+                    "E12": (p.alpha[j].re, p.alpha[j].im),
+                    "H1": (p.beta[j].re, p.beta[j].im),
+                    "E21": (p.gamma[j].re, p.gamma[j].im),
+                })
+            third = "E12" if branch == "nilpotent" else "H1"
+            assert matrix(images[2]) == oracle_sl_matrix({third: (1, 0)})
+
 
 class TestAudit:
     def test_non_nilpotent_example(self):
@@ -373,6 +399,15 @@ class TestAudit:
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             solvable_image_audit(0, 1)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "6be4a6c22aec5c993bc9373b9182270d77e44921f00dadfb7c2ee62ebc32e4b5"),
+        (7, "c7447ce7670581e51606886022b650eb86e299cc2ce148e7dea3b594f5630402"),
+    ])
+    def test_candidates_are_pinned(self, seed, digest):
+        # the images and the order of the random draws behind them
+        text = "\n".join(repr(phi) for phi in _audit_candidates(300, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestModuleLevelWrappers:

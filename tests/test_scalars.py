@@ -129,6 +129,32 @@ def test_booleans_are_not_scalars():
             op(GaussianRational(2))
 
 
+def test_parse_scalar_returns_a_scalar_unchanged():
+    for x in (GaussianRational(0), GaussianRational(Fraction(-3, 2), 5)):
+        assert parse_scalar(x) is x
+
+
+@pytest.mark.parametrize("value", [1.5, True, False])
+def test_entry_points_refuse_floats_and_bools(value):
+    # every outside coefficient enters through parse_scalar
+    from ymalg.free_lie import FreeLieElement
+    from ymalg.kac_moody import MatrixData
+    from ymalg.morphisms import isotropic_orthogonal_witness
+    from ymalg.targets import StructureConstantAlgebra, WittElement
+
+    entries = [
+        lambda: FreeLieElement(2, {(1,): value}),
+        lambda: WittElement({1: value}),
+        lambda: StructureConstantAlgebra(("a", "b"), {(0, 1): {0: value}}),
+        lambda: MatrixData.from_rows([[value]]),
+        lambda: isotropic_orthogonal_witness((value, 0), (0, 0)),
+        lambda: isotropic_orthogonal_witness((1, "i"), (0, value)),
+    ]
+    for build in entries:
+        with pytest.raises(ValueError, match=f"^cannot parse scalar {value}$"):
+            build()
+
+
 def test_format_linear_branches():
     pairs = [
         ("a", parse_scalar("1")),

@@ -75,13 +75,15 @@ class TestRelations:
         assert zero_pairs == [(1, 1), (2, 2), (3, 3)]
 
     def test_weak_is_sum_of_strong(self):
-        pres = ym_relations(3)
-        strong = dict(strong_relation_elements(3))
-        for j in range(1, 4):
-            total = FreeLieElement.zero(3)
-            for i in range(1, 4):
-                total = total + strong[(i, j)]
-            assert total == pres.relators[j - 1]
+        for n in range(1, 9):
+            pres = ym_relations(n)
+            strong = dict(strong_relation_elements(n))
+            assert len(pres.relators) == n
+            for j in range(1, n + 1):
+                total = FreeLieElement.zero(n)
+                for i in range(1, n + 1):
+                    total = total + strong[(i, j)]
+                assert total == pres.relators[j - 1]
 
 
 class TestIdealComponents:
