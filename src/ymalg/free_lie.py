@@ -9,8 +9,8 @@ Lyndon) proper suffix of w.
 
 Brackets of basis elements are rewritten into the basis by the classical
 Lyndon bracketing recursion, memoized per word pair, in integers: the one
-rule of every f(m) bracket over Gaussian-integer rows (``row_bilinear``;
-``bracket`` clears its operands to rows).  ``FreeTarget(m)`` is the space
+rule of every f(m) bracket over Gaussian-integer rows (``row_bilinear``),
+of elements and echelon rows alike.  ``FreeTarget(m)`` is the space
 of every element of f(m), and a morphism target.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Combination, Value, bilinear
-from .scalars import ONE, format_linear, parse_scalar
+from .scalars import ONE, format_linear
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -221,15 +221,13 @@ class FreeLieElement(Combination):
     def __init__(self, n: int, terms: Mapping | None = None):
         if n < 1:
             raise ValueError("need n >= 1")
-        self.space = FreeTarget(n)
-        self.terms = {}
+        words = {}
         for w, c in (terms or {}).items():
             word = w if isinstance(w, LyndonWord) else LyndonWord(w)
             if max(word) > n:
                 raise ValueError(f"word {word!r} uses letters above {n}")
-            c = parse_scalar(c)
-            if c:
-                self.terms[word] = c
+            words[word] = c
+        super().__init__(FreeTarget(n), words)
 
     @property
     def n(self) -> int:
@@ -256,24 +254,24 @@ class FreeLieElement(Combination):
 
     def degrees(self) -> tuple:
         """Sorted degrees present in the element."""
-        return tuple(sorted({len(w) for w in self.terms}))
+        return tuple(sorted({len(w) for w in self.row}))
 
     @property
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "FreeLieElement":
-        return self._like({w: c for w, c in self.terms.items() if len(w) == d})
+        return self._like({w: z for w, z in self.row.items() if len(w) == d}, self.den)
 
 
 def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     """The Lie bracket [a, b], expanded in the Lyndon basis.
 
     Bilinear over Q(i); basis pairs are rewritten by the memoized Lyndon
-    bracketing recursion, on the operands cleared to Gaussian-integer rows.
+    bracketing recursion, on the operands' Gaussian-integer rows.
     """
     a._require_same(b)
-    return a._like(bilinear(a.terms, b.terms, _bracket_words, 1))
+    return bilinear(a, b, _bracket_words, 1)
 
 
 class GradedDims(Value):

@@ -1,26 +1,27 @@
 """Exact linear algebra over Q(i), and the one sparse element type.
 
-``Echelon`` takes and stores sparse Gaussian-integer rows ``{col: (a, b)}``;
-a Combination's terms enter through ``clear_denominators`` once.
-Elimination is fraction-free: a cross multiplication per step, or dropping
-the column of a single-entry pivot row; only stored rows are
-content-reduced.  Pivots are the first nonzero column of each row.  The
-canonical reduced basis is built only on request (``Echelon.rref``).
+``Echelon`` takes and stores sparse Gaussian-integer rows ``{col: (a, b)}``,
+such as a Combination's own row.  Elimination is fraction-free: a cross
+multiplication per step, or dropping the column of a single-entry pivot
+row; only stored rows are content-reduced.  Pivots are the first nonzero
+column of each row.  The canonical reduced basis is built only on request
+(``Echelon.rref``).
 
 Every bracket is ``row_bilinear`` over a target's one integer rule for a
 pair of basis keys: its bracket times one nonzero constant (12 for
 Virasoro, the lcm of a constant table's denominators).  Closures bracket
 the stored rows (``Echelon.rows``, never changed), whose span the constant
-leaves the same; ``bilinear`` brackets two elements cleared to rows.
+leaves the same; ``bilinear`` brackets two elements' rows.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
 ``Combination(space, terms)`` is every algebra element: a finite
-Q(i)-linear combination of basis keys of its space, rendered by
-``space.format(terms)``.  ``Subspace`` wraps an Echelon around a span in
-one space: ideal components, subalgebra closures, series terms and Witt
-windows.  ``Value`` is the base of the small immutable types with value
-equality, such as the spaces.
+Q(i)-linear combination of basis keys of its space, held as one reduced
+Z[i] row over one denominator, so its arithmetic is integer work; its Q(i)
+``terms`` are built to render it (``space.format(terms)``).  ``Subspace``
+wraps an Echelon around a span in one space: ideal components, subalgebra
+closures, series terms and Witt windows.  ``Value`` is the base of the
+small immutable types with value equality, such as the spaces.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ZERO, GaussianRational, clear_denominators, from_ints
+from .scalars import ZERO, GaussianRational, clear_denominators, from_ints, parse_scalar
 
 
 def _content_reduce(row: dict) -> dict:
@@ -145,16 +146,6 @@ def rank(matrix: Iterable[Sequence]) -> int:
     return ech.dim
 
 
-def accumulate(acc: dict, key, value) -> None:
-    """``acc[key] += value``, dropping the key when the sum is zero."""
-    s = acc.get(key)
-    s = value if s is None else s + value
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
 def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
     """The bilinear extension of an integer rule over Z[i] rows {key: (a, b)}:
     ``pair(i, j)`` maps keys to nonzero ints or Z[i] pairs (x, y)."""
@@ -175,14 +166,10 @@ def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
     return out
 
 
-def bilinear(u_terms: Mapping, v_terms: Mapping, pair, scale: int) -> dict:
-    """The terms of [sum c_i b_i, sum c_j b_j] for a rule ``pair`` that is
-    ``scale`` times the bracket: each operand is cleared to a Z[i] row once,
-    and each entry of ``row_bilinear`` is divided by the lcms and ``scale``."""
-    u, m = clear_denominators(u_terms)
-    v, n = clear_denominators(v_terms)
-    d = m * n * scale
-    return {k: from_ints(a, b, d) for k, (a, b) in row_bilinear(u, v, pair).items()}
+def bilinear(u, v, pair, scale: int):
+    """[u, v] for a rule ``pair`` that is ``scale`` times the bracket: the
+    ``row_bilinear`` of the two rows, over ``scale`` times both denominators."""
+    return u._like(row_bilinear(u.row, v.row, pair), u.den * v.den * scale)
 
 
 class Value:
@@ -221,29 +208,42 @@ class Value:
 
 
 class Combination:
-    """A finite Q(i)-linear combination of basis keys of ``space``: ``terms``
-    maps keys to nonzero GaussianRationals.  Immutable by convention.
+    """A finite Q(i)-linear combination of basis keys of ``space``: one
+    Gaussian-integer ``row`` {key: (a, b)}, no entry zero, over one positive
+    ``den`` with ``gcd(den, every entry) == 1``.  That form is canonical, so
+    equality and hashing are structural.  Immutable by convention.
 
     Equal spaces compare equal; combining elements of different spaces
-    raises ValueError.  The space renders the terms: ``space.format(terms)``.
+    raises ValueError.  ``terms`` maps keys to nonzero GaussianRationals,
+    built on each read; the space renders them: ``space.format(terms)``.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "row", "den")
 
     def __init__(self, space, terms: Mapping):
         self.space = space
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.row, self.den = clear_denominators(
+            {k: parse_scalar(c) for k, c in terms.items()}
+        )
 
-    def _like(self, terms: Mapping):
-        """An element of the same type and space with the given clean terms."""
+    def _like(self, row: dict, den: int = 1):
+        """An element of the same type and space: the Z[i] ``row`` (no zero
+        entry) over ``den > 0``, brought to the canonical form."""
+        g = 1 if den == 1 else gcd(den, *(x for z in row.values() for x in z))
+        if g != 1:
+            row = {k: (a // g, b // g) for k, (a, b) in row.items()}
         out = object.__new__(type(self))
-        out.space = self.space
-        out.terms = terms
+        out.space, out.row, out.den = self.space, row, den // g
         return out
 
     @property
+    def terms(self) -> dict:
+        d = self.den
+        return {k: from_ints(a, b, d) for k, (a, b) in self.row.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
     def _require_same(self, other) -> None:
         mine = self.space
@@ -253,33 +253,51 @@ class Combination:
 
     def __add__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return self._like(out)
+        d, e = self.den, other.den
+        g = gcd(d, e)
+        s, t = e // g, d // g
+        out = {k: (a * s, b * s) for k, (a, b) in self.row.items()}
+        for k, (a, b) in other.row.items():
+            p, q = out.get(k, (0, 0))
+            p, q = p + a * t, q + b * t
+            out[k] = (p, q)
+            if not (p or q):
+                del out[k]
+        return self._like(out, d * s)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like({k: (-a, -b) for k, (a, b) in self.row.items()}, self.den)
+
+    def _times(self, z: tuple, den: int = 1):
+        """The element times ``(x + y*i) / den``, for ints with ``den > 0``."""
+        x, y = z
+        if not (x or y):
+            return self._like({})
+        return self._like(
+            {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.row.items()},
+            self.den * den,
+        )
 
     def __mul__(self, scalar):
         if not isinstance(scalar, GaussianRational):
             scalar = GaussianRational(scalar)
-        if not scalar:
-            return self._like({})
-        return self._like({k: c * scalar for k, c in self.terms.items()})
+        row, den = clear_denominators({0: scalar})
+        return self._times(row.get(0, (0, 0)), den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Combination):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return (
+            self.space == other.space and self.den == other.den and self.row == other.row
+        )
 
     def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
+        return hash((self.space, self.den, frozenset(self.row.items())))
 
     def __repr__(self):
         return self.space.format(self.terms)
@@ -289,7 +307,7 @@ class Subspace:
     """The span of Combinations of one ambient space, kept as an Echelon.
 
     ``zero`` is the ambient zero element; elements enter through their
-    ``terms`` and the basis comes back through ``zero._like``.  Closures
+    ``row`` and the basis comes back through ``zero._like``.  Closures
     read and insert Gaussian-integer rows through ``echelon`` itself.
     """
 
@@ -306,13 +324,16 @@ class Subspace:
     def add(self, elem) -> bool:
         """Extend the span by ``elem``; True if it was independent."""
         self.zero._require_same(elem)
-        return self.echelon.insert(clear_denominators(elem.terms)[0])
+        return self.echelon.insert(elem.row)
 
     def contains(self, elem) -> bool:
         self.zero._require_same(elem)
-        return self.echelon.contains(clear_denominators(elem.terms)[0])
+        return self.echelon.contains(elem.row)
 
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot; built
         anew on each call."""
-        return [self.zero._like(row) for _, row in self.echelon.reduced_basis()]
+        return [
+            self.zero._like(*clear_denominators(row))
+            for _, row in self.echelon.reduced_basis()
+        ]

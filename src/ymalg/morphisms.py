@@ -69,9 +69,14 @@ class GeneratorMorphism:
             return hit
 
         out = self.target.zero()
-        for w, c in a.terms.items():
-            out = out + eval_word(tuple(w)) * c
-        return out
+        for w, z in a.row.items():
+            out = out + eval_word(w)._times(z)
+        return out._like(out.row, out.den * a.den)
+
+    def _relators(self, strong: bool) -> list:
+        if strong:
+            return [elem for _, elem in strong_relation_elements(self.n)]
+        return ym_relations(self.n).relators
 
     def relation_residuals(self, strong: bool = False) -> list:
         """Images of the Yang-Mills relators.
@@ -80,14 +85,12 @@ class GeneratorMorphism:
         n^2 residuals of [x_i,[x_i,x_j]] in (i, j) order (the i = j ones are
         identically zero and evaluate to zero).
         """
-        if strong:
-            elements = [elem for _, elem in strong_relation_elements(self.n)]
-        else:
-            elements = ym_relations(self.n).relators
-        return [self.evaluate(r) for r in elements]
+        return [self.evaluate(r) for r in self._relators(strong)]
 
     def residuals_vanish(self, strong: bool = False) -> bool:
-        return all(r.is_zero for r in self.relation_residuals(strong))
+        """True iff every relator maps to zero; evaluation stops at the
+        first relator that does not."""
+        return all(self.evaluate(r).is_zero for r in self._relators(strong))
 
     def __repr__(self):
         imgs = ", ".join(f"x_{k+1} -> {img!r}" for k, img in enumerate(self.images))

@@ -1,6 +1,6 @@
 """The scalar field Q(i): Gaussian rationals with exact arithmetic.
 
-Every coefficient in this package is a :class:`GaussianRational`, stored as
+Every scalar in this package is a :class:`GaussianRational`, stored as
 three ints ``(a + b*i) / d``.  Values are immutable and normalized on
 construction: ``d > 0``, ``gcd(a, b, d) == 1``, and zero is ``(0, 0, 1)``.
 So equality is structural, and each operation costs its integer products
@@ -8,7 +8,9 @@ plus one ``math.gcd``.  A value with ``b == 0`` hashes like the rational
 ``a/d``, so it keys a dict the same way as the equal ``int`` or ``Fraction``.
 Only this module reads the stored ints: the exact linear algebra moves
 between Q(i) and Gaussian-integer pairs through :func:`clear_denominators`
-and :func:`from_ints`.  Outside coefficients (of terms, constants, matrices)
+and :func:`from_ints`; elements hold such pairs over one denominator, so
+values are formed only at the edges (input, rendering, the case study's
+closed forms).  Outside coefficients (of terms, constants, matrices)
 enter through :func:`parse_scalar`; ``ZERO``, ``ONE`` and ``I`` are shared.
 
 Text grammar, used by the CLI and all JSON payloads: a rational renders as

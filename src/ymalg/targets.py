@@ -26,9 +26,9 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import (
-    Combination, Echelon, Subspace, Value, accumulate, bilinear, row_bilinear
+    Combination, Echelon, Subspace, Value, bilinear, row_bilinear
 )
-from .scalars import ONE, clear_denominators, format_linear, parse_scalar
+from .scalars import clear_denominators, format_linear, parse_scalar
 
 
 # -- structure-constant algebras ----------------------------------------------
@@ -42,16 +42,16 @@ class _Labelled:
     __slots__ = ()
 
     def basis_element(self, label) -> Combination:
-        return self.zero()._like({self._key(label): ONE})
+        return self.zero()._like({self._key(label): (1, 0)})
 
     def element(self, coords: Mapping) -> Combination:
         """Sum of the terms.  Every label is resolved, even with a zero
         coefficient, and aliases such as ``e1`` and ``e_1`` add up."""
         terms: dict = {}
         for label, c in coords.items():
-            key = self._key(label)
-            accumulate(terms, key, parse_scalar(c))
-        return self.zero()._like(terms)
+            key, c = self._key(label), parse_scalar(c)
+            terms[key] = terms[key] + c if key in terms else c
+        return self.zero()._like(*clear_denominators(terms))
 
 
 class StructureConstantAlgebra(_Labelled):
@@ -149,7 +149,7 @@ class StructureConstantAlgebra(_Labelled):
         """Bilinear extension of the structure constants."""
         if u.space is not self or v.space is not self:
             raise ValueError("algebra mismatch in bracket")
-        return u._like(bilinear(u.terms, v.terms, self._row_pair, self._scale))
+        return bilinear(u, v, self._row_pair, self._scale)
 
     def format(self, terms: Mapping) -> str:
         return format_linear((self.labels[k], terms[k]) for k in sorted(terms))
@@ -406,15 +406,11 @@ class WittElement(Combination):
     __slots__ = ()
 
     def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        for k, c in (terms or {}).items():
+        terms = terms or {}
+        for k in terms:
             if type(k) is not int and k != WITT_CENTRAL:
                 raise KeyError(f"Witt key {k!r} is neither an int nor WITT_CENTRAL")
-            c = parse_scalar(c)
-            if c:
-                clean[k] = c
-        self.space = _WITT
-        self.terms = clean
+        super().__init__(_WITT, terms)
 
 
 def witt_e(k: int, coeff=1) -> WittElement:
@@ -445,7 +441,7 @@ def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> Witt
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
     The central element brackets to zero."""
     pair, scale = (_virasoro_row_pair, 12) if virasoro else (_witt_pair, 1)
-    return u._like(bilinear(u.terms, v.terms, pair, scale))
+    return bilinear(u, v, pair, scale)
 
 
 _WITT_LABEL = re.compile(r"e_?(-?[0-9]+)")

@@ -116,8 +116,12 @@ def ym_dim(
 ) -> int:
     """dim ym(n)_d = free_lie_dim(n, d) - dim of the ideal component.
 
-    Degrees 1 and 2 are untouched: the Yang-Mills relators have degree 3.
+    Degrees 1 and 2 are untouched: the Yang-Mills relators have degree 3,
+    so below it nothing is built.
     """
+    if d < 3:
+        _check_cap(d, degree_cap)
+        return free_lie_dim(n, d)
     pres = ym_relations(n, strong)
     return free_lie_dim(n, d) - ideal_graded_component(pres, d, degree_cap).dim
 

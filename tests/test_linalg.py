@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from oracle_utils import (
     tensor_of_element,
 )
 from ymalg.free_lie import FreeLieElement, _bracket_words, bracket, lyndon_basis
-from ymalg.linalg import Echelon, Subspace, rank, row_bilinear
+from ymalg.linalg import Combination, Echelon, Subspace, rank, row_bilinear
 from ymalg.morphisms import solvable_image_audit
 from ymalg.scalars import GaussianRational as GR, clear_denominators
 from ymalg.targets import (
@@ -404,10 +405,32 @@ def test_bracket_matches_the_oracle(kind, data):
     assert as_oracle(bracket_of(u, v)) == oracle_bracket(as_oracle(u), as_oracle(v))
 
 
+def _assert_canonical(elem):
+    assert type(elem.den) is int and elem.den > 0
+    assert all(a or b for a, b in elem.row.values())
+    assert gcd(elem.den, *(x for z in elem.row.values() for x in z)) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(BRACKETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_elements_stay_canonical(kind, data):
+    # one Z[i] row over one denominator, reduced: equality and hashing are
+    # structural only if every operation returns this form
+    keys, build, bracket_of = BRACKETS[kind]
+    u, v = (data.draw(combinations(keys, build, fractional_scalars)) for _ in range(2))
+    c = data.draw(fractional_scalars.filter(bool))
+    for e in (u, v, u + v, u - v, -u, u * c, c * u, u * 0, bracket_of(u, v)):
+        _assert_canonical(e)
+        again = Combination(e.space, e.terms)
+        assert again == e and hash(again) == hash(e)
+    for x in (u + v - v, (u * c) * (1 / c)):
+        assert x == u and hash(x) == hash(u)
+
+
 def test_element_brackets_combine_no_scalar(monkeypatch):
-    """An element bracket clears each operand to a Gaussian-integer row and
-    brackets the rows over the target's integer rule: no Q(i) product or
-    sum is formed, only one division per output entry."""
+    """An element bracket brackets the operands' Gaussian-integer rows over
+    the target's integer rule: no Q(i) product or sum is formed."""
     rng = random.Random(13)
     cases = []
     for keys, build, bracket_of in BRACKETS.values():

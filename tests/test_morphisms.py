@@ -410,6 +410,48 @@ class TestAudit:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestResidualEvaluation:
+    @staticmethod
+    def morphisms():
+        rng = random.Random(21)
+        sl2_cases = [
+            assemble_sl2_morphism(sample_case_parameters(rng, branch))
+            for branch in ("nilpotent", "semisimple") * 3
+        ]
+        return sl2_cases + [
+            yu_morphism(),
+            pair_to_ym4_morphism(WittTarget(), witt_e(-1), witt_e(2)),
+            pair_to_ym4_morphism(WittTarget(True), witt_e(-2), witt_e(3) * GR(1, 2)),
+            doubling_morphism(2),
+        ]
+
+    def test_residuals_form_no_scalar(self, monkeypatch):
+        # word images are Z[i] rows over one denominator, so the residuals
+        # are summed without one Q(i) product or sum
+        flags = (False, True)
+        expected = [
+            [phi.residuals_vanish(s) for s in flags] for phi in self.morphisms()
+        ]
+        assert {tuple(v) for v in expected} >= {(True, True), (False, False)}
+        fresh = self.morphisms()
+
+        def refuse(*args):
+            raise AssertionError("a residual combined Q(i) scalars")
+
+        for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+            monkeypatch.setattr(GR, attr, refuse)
+        assert [[phi.residuals_vanish(s) for s in flags] for phi in fresh] == expected
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_early_stop_changes_no_answer(self, seed):
+        for phi in _audit_candidates(60, seed):
+            for strong in (False, True):
+                residuals = phi.relation_residuals(strong)
+                assert phi.residuals_vanish(strong) == all(
+                    r.is_zero for r in residuals
+                )
+
+
 class TestModuleLevelWrappers:
     def test_relation_residuals_wrapper(self):
         phi = doubling_morphism(1)

@@ -152,6 +152,16 @@ class TestYmDim:
         for d in (3, 4, 5):
             assert ym_dim(3, d, strong=True) <= ym_dim(3, d)
 
+    def test_degrees_below_three_build_no_presentation(self, monkeypatch):
+        # degrees 1 and 2 lie below every Yang-Mills relator: they are the
+        # free dimensions, read off without building the n^2 relator grid
+        def refuse(*args):
+            raise AssertionError("built the Yang-Mills presentation")
+
+        monkeypatch.setattr("ymalg.ym_quotient.ym_relations", refuse)
+        for strong in (False, True):
+            assert ym_graded_dims(50, 2, strong).dims == (50, 1225)
+
 
 class TestMembership:
     def test_relators_in_ideal(self):
