@@ -270,8 +270,7 @@ def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     Bilinear over Q(i); basis pairs are rewritten by the memoized Lyndon
     bracketing recursion, on the operands' Gaussian-integer rows.
     """
-    a._require_same(b)
-    return bilinear(a, b, _bracket_words, 1)
+    return bilinear(a.space, a, b, _bracket_words, 1)
 
 
 class GradedDims(Value):

@@ -4,14 +4,15 @@
 such as a Combination's own row.  Elimination is fraction-free: a cross
 multiplication per step, or dropping the column of a single-entry pivot
 row; only stored rows are content-reduced.  Pivots are the first nonzero
-column of each row.  The canonical reduced basis is built only on request
-(``Echelon.rref``).
+column of each row.  The canonical reduced basis, Z[i] rows over one
+denominator each, is built only on request (``Echelon.reduced_basis``).
 
 Every bracket is ``row_bilinear`` over a target's one integer rule for a
 pair of basis keys: its bracket times one nonzero constant (12 for
 Virasoro, the lcm of a constant table's denominators).  Closures bracket
 the stored rows (``Echelon.rows``, never changed), whose span the constant
-leaves the same; ``bilinear`` brackets two elements' rows.
+leaves the same; ``bilinear(space, u, v, pair, scale)`` brackets two
+elements' rows, and is the one space test of every element bracket.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
@@ -29,7 +30,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ZERO, GaussianRational, clear_denominators, from_ints, parse_scalar
+from .scalars import clear_denominators, from_ints, parse_scalar
 
 
 def _content_reduce(row: dict) -> dict:
@@ -61,17 +62,6 @@ def _eliminate(row: dict, col, pivot_row: dict) -> dict:
         else:
             new[c] = val
     return new
-
-
-def _normalize(row: dict, pivot) -> dict:
-    """Divide a Gaussian-integer row by its entry at ``pivot``; the result
-    maps columns to GaussianRationals."""
-    c, d = row[pivot]
-    norm = c * c + d * d
-    return {
-        col: from_ints(a * c + b * d, b * c - a * d, norm)
-        for col, (a, b) in row.items()
-    }
 
 
 class Echelon:
@@ -117,10 +107,10 @@ class Echelon:
         return list(self._rows.values())
 
     def reduced_basis(self) -> list:
-        """The canonical basis of the span as (pivot, {col: GaussianRational})
-        pairs sorted by pivot: leading coefficient 1 and zeros in every other
-        pivot column.  Back substitution runs fraction-free over Z[i]; each
-        row is divided by its leading entry once, at the end."""
+        """The canonical basis of the span as (pivot, row, den), sorted by
+        pivot: each Z[i] ``row`` over ``den`` has leading coefficient 1 and
+        zeros in every other pivot column.  Back substitution runs over Z[i];
+        then each row is multiplied by its lead's conjugate over its norm."""
         reduced: dict = {}
         for pivot in sorted(self._rows, reverse=True):
             row = self._rows[pivot]
@@ -129,13 +119,19 @@ class Echelon:
             for col in [c for c in row if c != pivot and c in reduced]:
                 row = _eliminate(row, col, reduced[col])
             reduced[pivot] = _content_reduce(row)
-        return [(p, _normalize(reduced[p], p)) for p in sorted(reduced)]
+        basis = []
+        for p in sorted(reduced):
+            c, d = reduced[p][p]
+            row = {k: _gmul(z, (c, -d)) for k, z in reduced[p].items()}
+            basis.append((p, row, c * c + d * d))
+        return basis
 
     def rref(self, columns: Sequence) -> list:
         """Dense view of ``reduced_basis``: one Q(i) list per basis row, in
         the given column order (which must list the columns ascending)."""
         return [
-            [row.get(col, ZERO) for col in columns] for _, row in self.reduced_basis()
+            [from_ints(*row.get(col, (0, 0)), den) for col in columns]
+            for _, row, den in self.reduced_basis()
         ]
 
 
@@ -166,9 +162,20 @@ def row_bilinear(u: Mapping, v: Mapping, pair) -> dict:
     return out
 
 
-def bilinear(u, v, pair, scale: int):
-    """[u, v] for a rule ``pair`` that is ``scale`` times the bracket: the
-    ``row_bilinear`` of the two rows, over ``scale`` times both denominators."""
+def require_in(space, elem) -> None:
+    """ValueError unless ``elem`` is a Combination of ``space``: the same
+    space object (tested first), or one equal to it."""
+    theirs = elem.space if isinstance(elem, Combination) else type(elem).__name__
+    if theirs is not space and theirs != space:
+        raise ValueError(f"cannot combine elements of {space} and {theirs}")
+
+
+def bilinear(space, u, v, pair, scale: int):
+    """[u, v] in ``space`` for a rule ``pair`` that is ``scale`` times the
+    bracket: the ``row_bilinear`` of the two rows, over ``scale`` times both
+    denominators.  Every element bracket runs here, and checks its operands."""
+    require_in(space, u)
+    require_in(space, v)
     return u._like(row_bilinear(u.row, v.row, pair), u.den * v.den * scale)
 
 
@@ -245,14 +252,8 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.row
 
-    def _require_same(self, other) -> None:
-        mine = self.space
-        theirs = other.space if isinstance(other, Combination) else type(other).__name__
-        if theirs is not mine and theirs != mine:
-            raise ValueError(f"cannot combine elements of {mine} and {theirs}")
-
     def __add__(self, other):
-        self._require_same(other)
+        require_in(self.space, other)
         d, e = self.den, other.den
         g = gcd(d, e)
         s, t = e // g, d // g
@@ -282,9 +283,7 @@ class Combination:
         )
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(scalar)
-        row, den = clear_denominators({0: scalar})
+        row, den = clear_denominators({0: parse_scalar(scalar)})
         return self._times(row.get(0, (0, 0)), den)
 
     __rmul__ = __mul__
@@ -323,17 +322,15 @@ class Subspace:
 
     def add(self, elem) -> bool:
         """Extend the span by ``elem``; True if it was independent."""
-        self.zero._require_same(elem)
+        require_in(self.zero.space, elem)
         return self.echelon.insert(elem.row)
 
     def contains(self, elem) -> bool:
-        self.zero._require_same(elem)
+        require_in(self.zero.space, elem)
         return self.echelon.contains(elem.row)
 
     def basis_elements(self) -> list:
         """The canonical reduced basis as elements, sorted by pivot; built
         anew on each call."""
-        return [
-            self.zero._like(*clear_denominators(row))
-            for _, row in self.echelon.reduced_basis()
-        ]
+        basis = self.echelon.reduced_basis()
+        return [self.zero._like(row, den) for _, row, den in basis]

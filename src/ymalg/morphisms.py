@@ -18,12 +18,11 @@ other exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Combination, Value
-from .scalars import I, ONE, ZERO, GaussianRational, parse_scalar
+from .scalars import I, ONE, ZERO, GaussianRational, from_ints, parse_scalar
 from .targets import StructureConstantAlgebra, WittTarget, analyze_image, sl_algebra
 from .ym_quotient import strong_relation_elements, ym_relations
 
@@ -73,11 +72,6 @@ class GeneratorMorphism:
             out = out + eval_word(w)._times(z)
         return out._like(out.row, out.den * a.den)
 
-    def _relators(self, strong: bool) -> list:
-        if strong:
-            return [elem for _, elem in strong_relation_elements(self.n)]
-        return ym_relations(self.n).relators
-
     def relation_residuals(self, strong: bool = False) -> list:
         """Images of the Yang-Mills relators.
 
@@ -85,12 +79,18 @@ class GeneratorMorphism:
         n^2 residuals of [x_i,[x_i,x_j]] in (i, j) order (the i = j ones are
         identically zero and evaluate to zero).
         """
-        return [self.evaluate(r) for r in self._relators(strong)]
+        if strong:
+            relators = [elem for _, elem in strong_relation_elements(self.n)]
+        else:
+            relators = ym_relations(self.n).relators
+        return [self.evaluate(r) for r in relators]
 
     def residuals_vanish(self, strong: bool = False) -> bool:
-        """True iff every relator maps to zero; evaluation stops at the
-        first relator that does not."""
-        return all(self.evaluate(r).is_zero for r in self._relators(strong))
+        """True iff every relator of ``ym_relations(n, strong)`` maps to zero
+        (the strong ones leave out only the zero [x_i,[x_i,x_i]]); evaluation
+        stops at the first relator that does not."""
+        relators = ym_relations(self.n, strong).relators
+        return all(self.evaluate(r).is_zero for r in relators)
 
     def __repr__(self):
         imgs = ", ".join(f"x_{k+1} -> {img!r}" for k, img in enumerate(self.images))
@@ -295,10 +295,9 @@ class AuditReport(NamedTuple):
 
 
 def _rand_scalar(rng: random.Random, span: int = 3) -> GaussianRational:
-    def part():
-        return Fraction(rng.randint(-span, span), rng.choice((1, 1, 2)))
-
-    return GaussianRational(part(), part())
+    a, p = rng.randint(-span, span), rng.choice((1, 1, 2))
+    b, q = rng.randint(-span, span), rng.choice((1, 1, 2))
+    return from_ints(a * q, b * p, p * q)
 
 
 def _rand_pair(rng):

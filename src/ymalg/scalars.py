@@ -228,17 +228,18 @@ def _fraction(body: str, text) -> Fraction:
 
 
 def parse_scalar(text) -> GaussianRational:
-    """Parse the scalar grammar: "3/2", "-1+2i", "i", "0", "1/2-3/4i"."""
+    """Parse the scalar grammar: "3/2", "-1+2i", "i", "0", "1/2-3/4i".  An
+    int or Fraction is taken as its value and a GaussianRational as it is;
+    any other non-text value (a float, a bool, an element) raises ValueError."""
     if isinstance(text, GaussianRational):
         return text
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return GaussianRational(text)
-    s = str(text)
-    if not _SCALAR_FULL.fullmatch(s):
+    if not isinstance(text, str) or not _SCALAR_FULL.fullmatch(text):
         raise ValueError(f"cannot parse scalar {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
-    for sign, body in _SCALAR_TERM.findall(s):
+    for sign, body in _SCALAR_TERM.findall(text):
         factor = -1 if sign == "-" else 1
         body = body.replace(" ", "").replace("*", "")
         if body.endswith("i"):

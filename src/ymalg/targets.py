@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import (
-    Combination, Echelon, Subspace, Value, bilinear, row_bilinear
+    Combination, Echelon, Subspace, Value, bilinear, require_in, row_bilinear
 )
 from .scalars import clear_denominators, format_linear, parse_scalar
 
@@ -147,9 +147,7 @@ class StructureConstantAlgebra(_Labelled):
 
     def bracket(self, u: Combination, v: Combination) -> Combination:
         """Bilinear extension of the structure constants."""
-        if u.space is not self or v.space is not self:
-            raise ValueError("algebra mismatch in bracket")
-        return bilinear(u, v, self._row_pair, self._scale)
+        return bilinear(self, u, v, self._row_pair, self._scale)
 
     def format(self, terms: Mapping) -> str:
         return format_linear((self.labels[k], terms[k]) for k in sorted(terms))
@@ -347,7 +345,7 @@ def series_analysis(
     stabilize; solvable (resp. nilpotent) iff the series reaches zero.
     [S, S] is computed once: it witnesses that S is bracket-closed and
     starts both series."""
-    algebra.zero()._require_same(space.zero)  # ValueError on algebra mismatch
+    require_in(algebra, space.zero)  # ValueError on algebra mismatch
     square = _bracket_span(algebra, space, space)
     if not all(space.echelon.contains(row) for row in square.echelon.rows()):
         raise ValueError("subspace is not bracket-closed")
@@ -441,7 +439,7 @@ def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> Witt
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
     The central element brackets to zero."""
     pair, scale = (_virasoro_row_pair, 12) if virasoro else (_witt_pair, 1)
-    return bilinear(u, v, pair, scale)
+    return bilinear(_WITT, u, v, pair, scale)
 
 
 _WITT_LABEL = re.compile(r"e_?(-?[0-9]+)")

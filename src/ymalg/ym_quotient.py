@@ -68,8 +68,8 @@ def ym_relations(n: int, strong: bool = False) -> Presentation:
 def strong_relation_elements(n: int) -> list:
     """All n^2 strong relation elements [x_i,[x_i,x_j]], labelled by (i, j).
 
-    Includes the identically-zero i = j entries; morphism residual checks
-    evaluate every one of them.
+    Includes the identically-zero i = j entries; the strong
+    ``relation_residuals`` report lists every one of them.
     """
     x = [FreeLieElement.generator(n, j) for j in range(1, n + 1)]
     return [

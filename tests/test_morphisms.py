@@ -442,6 +442,25 @@ class TestResidualEvaluation:
             monkeypatch.setattr(GR, attr, refuse)
         assert [[phi.residuals_vanish(s) for s in flags] for phi in fresh] == expected
 
+    def test_strong_check_builds_no_relator_grid(self, monkeypatch):
+        # the strong presentation drops only the identically-zero
+        # [x_i,[x_i,x_i]], so its cached relators answer for all n^2 residuals
+        def cases():
+            p = sample_case_parameters(random.Random(1), "semisimple")
+            return [yu_morphism(), doubling_morphism(2), assemble_sl2_morphism(p)]
+
+        expected = [phi.residuals_vanish(True) for phi in cases()]
+        assert expected == [
+            all(r.is_zero for r in phi.relation_residuals(True)) for phi in cases()
+        ]
+        assert set(expected) == {True, False}
+
+        def refuse(n):
+            raise AssertionError("the n^2 strong relator grid was built")
+
+        monkeypatch.setattr("ymalg.morphisms.strong_relation_elements", refuse)
+        assert [phi.residuals_vanish(True) for phi in cases()] == expected
+
     @pytest.mark.parametrize("seed", [4, 9])
     def test_early_stop_changes_no_answer(self, seed):
         for phi in _audit_candidates(60, seed):

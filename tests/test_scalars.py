@@ -140,7 +140,7 @@ def test_entry_points_refuse_floats_and_bools(value):
     from ymalg.free_lie import FreeLieElement
     from ymalg.kac_moody import MatrixData
     from ymalg.morphisms import isotropic_orthogonal_witness
-    from ymalg.targets import StructureConstantAlgebra, WittElement
+    from ymalg.targets import StructureConstantAlgebra, WittElement, witt_e
 
     entries = [
         lambda: FreeLieElement(2, {(1,): value}),
@@ -149,9 +149,25 @@ def test_entry_points_refuse_floats_and_bools(value):
         lambda: MatrixData.from_rows([[value]]),
         lambda: isotropic_orthogonal_witness((value, 0), (0, 0)),
         lambda: isotropic_orthogonal_witness((1, "i"), (0, value)),
+        lambda: witt_e(1) * value,
     ]
     for build in entries:
         with pytest.raises(ValueError, match=f"^cannot parse scalar {value}$"):
+            build()
+
+
+def test_element_times_scalar_text():
+    # ``*`` takes its scalar through parse_scalar, as ``element`` does
+    from ymalg.targets import sl_algebra
+
+    sl2 = sl_algebra(2)
+    e = sl2.basis_element("e")
+    assert e * "i" == sl2.element({"e": "i"})
+    assert e * "1+i" == sl2.element({"e": "1+i"})
+    assert "-3/2" * e == sl2.element({"e": "-3/2"})
+    # an element is no scalar, even the zero one, which renders as "0"
+    for build in (lambda: e * sl2.zero(), lambda: sl2.element({"e": sl2.zero()})):
+        with pytest.raises(ValueError, match="^cannot parse scalar 0$"):
             build()
 
 

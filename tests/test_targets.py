@@ -14,6 +14,7 @@ from oracle_utils import (
     oracle_sl_matrix,
     rand_scalar,
 )
+from ymalg import free_lie
 from ymalg.linalg import Subspace
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
@@ -179,6 +180,33 @@ class TestBracketIn:
             sl2.bracket(e, h1.basis_element("p"))
         with pytest.raises(ValueError):
             h1.bracket(e, e)
+
+
+@pytest.mark.parametrize(
+    "bracket, native",
+    [
+        (witt_bracket, witt_e(1)),
+        (lambda u, v: witt_bracket(u, v, True), witt_e(1)),
+        (WittTarget(True).bracket, witt_e(1)),
+        (sl_algebra(3).bracket, sl_algebra(3).basis_element("E12")),
+        (free_lie.bracket, free_lie.FreeLieElement.generator(2, 1)),
+    ],
+    ids=["witt", "virasoro", "virasoro-target", "sl3", "free-lie"],
+)
+def test_bracket_refuses_foreign_elements(bracket, native):
+    # every element bracket checks its operands' space in linalg.bilinear
+    _, e, _, f = sl2_elems()
+    for u, v in ((native, e), (f, native)):
+        with pytest.raises(ValueError, match="^cannot combine elements of "):
+            bracket(u, v)
+    assert bracket(native, native).is_zero
+
+
+def test_witt_bracket_refuses_two_sl2_elements():
+    _, e, h, f = sl2_elems()
+    for bracket, u, v in ((witt_bracket, e, f), (WittTarget(True).bracket, e, h)):
+        with pytest.raises(ValueError, match="^cannot combine elements of "):
+            bracket(u, v)
 
 
 class TestConstructionValidation:
