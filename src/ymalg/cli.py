@@ -140,7 +140,7 @@ def morphism_from_json(data) -> GeneratorMorphism:
             if isinstance(basis, list) and len(basis) > MAX_CUSTOM_DIM:
                 raise ValueError(f"{len(basis)} basis labels; at most {MAX_CUSTOM_DIM}")
             target = algebra_from_json(custom)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise CliInputError(f"bad custom algebra: {exc}") from None
     elif isinstance(target_spec, str):
         target = resolve_target(target_spec)

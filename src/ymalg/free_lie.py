@@ -202,7 +202,7 @@ class FreeTarget(Value):
         return FreeLieElement.zero(self.m)
 
     def bracket(self, u: "FreeLieElement", v: "FreeLieElement") -> "FreeLieElement":
-        return bracket(u, v)
+        return bilinear(self, u, v, _bracket_words, 1)
 
     def format(self, terms: Mapping) -> str:
         words = sorted(terms, key=lambda w: (len(w), w))
@@ -264,13 +264,10 @@ class FreeLieElement(Combination):
         return self._like({w: z for w, z in self.row.items() if len(w) == d}, self.den)
 
 
-def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
-    """The Lie bracket [a, b], expanded in the Lyndon basis.
-
-    Bilinear over Q(i); basis pairs are rewritten by the memoized Lyndon
-    bracketing recursion, on the operands' Gaussian-integer rows.
-    """
-    return bilinear(a.space, a, b, _bracket_words, 1)
+def bracket(a: Combination, b: Combination) -> Combination:
+    """The Lie bracket [a, b] in the space of ``a``, which ``b`` must share;
+    in f(n), ``FreeTarget.bracket`` expands it in the Lyndon basis."""
+    return a.space.bracket(a, b)
 
 
 class GradedDims(Value):

@@ -4,14 +4,15 @@ Finite-dimensional algebras are given by a labelled basis and structure
 constants (antisymmetry completed, Jacobi verified on construction); sl(m)
 and the first Heisenberg algebra come built in.  ``WittTarget`` is the Witt
 algebra or its Virasoro central extension, with exact finite-support
-elements over the basis {e_k : k in Z} (+ c).  Every target has the same
-element protocol: ``zero()``, ``bracket(u, v)``, ``basis_element(label)``,
-``element({label: scalar})`` (one builder for both) and ``format(terms)``,
-which renders its elements.  Elements are ``Combination``s whose space is
-the target (``WittElement``s all share the Witt space).  Each target has one
-integer rule for a pair of basis keys, its bracket times a constant (the lcm
-of a constant table's denominators, 12 for Virasoro), and every bracket, of
-echelon rows or of elements, is ``linalg.row_bilinear`` over it.
+elements over the basis {e_k : k in Z} (+ c).  A morphism target needs only
+``zero()`` and ``bracket(u, v)``; the targets here also build elements,
+``basis_element(label)`` and ``element({label: scalar})`` (one builder for
+both), and render them with ``format(terms)``.  Elements are
+``Combination``s whose space is the target (``WittElement``s all share the
+Witt space).  Each target has one integer rule for a pair of basis keys,
+its bracket times a constant (the lcm of a constant table's denominators,
+12 for Virasoro), and every bracket, of echelon rows or of elements, is
+``linalg.row_bilinear`` over it.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,

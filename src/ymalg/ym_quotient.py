@@ -19,13 +19,14 @@ from functools import lru_cache
 from .free_lie import (
     DEFAULT_DEGREE_CAP,
     FreeLieElement,
+    FreeTarget,
     GradedDims,
     _bracket_words,
     _check_cap,
     bracket,
     free_lie_dim,
 )
-from .linalg import Subspace, Value, row_bilinear
+from .linalg import Subspace, Value, require_in, row_bilinear
 
 
 class Presentation(Value):
@@ -158,8 +159,7 @@ def ideal_membership_by_degree(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> dict:
     """Per-degree ideal membership of the homogeneous parts of ``a``."""
-    if a.n != pres.n:
-        raise ValueError("generator count mismatch")
+    require_in(FreeTarget(pres.n), a)
     degrees = a.degrees()
     _check_cap(max(degrees, default=0), degree_cap)  # before any component is built
     return {

@@ -192,6 +192,16 @@ class TestVerify:
         (line,) = err.splitlines()
         assert line.startswith("error: malformed JSON")
 
+    def test_deep_custom_algebra_string(self, spec_file):
+        # a custom algebra given as a JSON string, nested past the decoder's
+        # recursion limit
+        deep = "[" * 100000 + "]" * 100000
+        spec = {"n": 1, "target": {"custom": deep}, "images": [{}]}
+        code, out, err = run_main("verify", spec_file("deep.json", spec))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: bad custom algebra: ")
+
     def test_unknown_target(self, spec_file):
         path = spec_file("unk.json", {"n": 1, "target": "su(5)", "images": [{}]})
         proc = run_cli("verify", path)
@@ -549,6 +559,12 @@ class TestPair:
         proc = run_cli("pair", "--target", "sl2")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("given", [("--a", "e"), ("--b", "f")])
+    def test_one_generator_for_finite_target(self, given):
+        code, out, err = run_main("pair", "--target", "sl2", *given)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --a and --b are required for finite targets"]
+
     def test_bad_element_expression(self):
         proc = run_cli("pair", "--target", "sl2", "--a", "w", "--b", "f")
         assert proc.returncode == 2
@@ -677,6 +693,14 @@ class TestRealization:
         assert results["rank"] == 2
         assert results["ym_quotient_bound"] == 8
         assert results["realization"]["h_dim"] == 10
+
+    def test_missing_file(self):
+        code, out, err = run_main("realization", "/nonexistent/m.json")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: cannot read matrix file: [Errno 2] No such file or "
+            "directory: '/nonexistent/m.json'"
+        ]
 
     def test_non_square(self, tmp_path):
         path = tmp_path / "ns.json"

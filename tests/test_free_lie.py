@@ -13,6 +13,7 @@ from oracle_utils import (
 from ymalg.free_lie import (
     DegreeCapExceeded,
     FreeLieElement,
+    FreeTarget,
     GradedDims,
     LyndonWord,
     bracket,
@@ -22,6 +23,7 @@ from ymalg.free_lie import (
     standard_factorization,
 )
 from ymalg.scalars import I, ONE
+from ymalg.targets import sl_algebra
 
 
 def words(n, d):
@@ -118,6 +120,17 @@ class TestBracket:
     def test_mismatched_generator_counts(self):
         with pytest.raises(ValueError):
             bracket(FreeLieElement.generator(2, 1), FreeLieElement.generator(3, 1))
+
+    def test_target_refuses_elements_of_another_free_algebra(self):
+        x1, x2, _ = self.x
+        with pytest.raises(ValueError, match="^cannot combine elements of "):
+            FreeTarget(2).bracket(x1, x2)
+        assert FreeTarget(3).bracket(x1, x2) == bracket(x1, x2)
+
+    def test_bracket_is_that_of_the_first_operands_space(self):
+        sl2 = sl_algebra(2)
+        e, f = sl2.basis_element("e"), sl2.basis_element("f")
+        assert bracket(e, f) == sl2.bracket(e, f)
 
     def test_tensor_oracle_on_basis_pairs(self):
         # every rewriting of degree <= 6 basis pairs agrees with the

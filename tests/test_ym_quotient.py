@@ -9,6 +9,7 @@ from ymalg.free_lie import (
 )
 from ymalg.linalg import Subspace
 from ymalg.scalars import GaussianRational as GR
+from ymalg.targets import sl_algebra
 from ymalg.ym_quotient import (
     Presentation,
     dims_table,
@@ -194,6 +195,11 @@ class TestMembership:
     def test_generator_count_mismatch(self):
         with pytest.raises(ValueError):
             is_zero_in_ym(ym_relations(2), FreeLieElement.generator(3, 1))
+
+    def test_element_of_another_algebra(self):
+        e = sl_algebra(2).basis_element("e")
+        with pytest.raises(ValueError, match="^cannot combine elements of "):
+            is_zero_in_ym(ym_relations(3), e)
 
 
 def _refuse_components(monkeypatch):
