@@ -4,14 +4,16 @@
 such as a Combination's own row.  Elimination is fraction-free: a cross
 multiplication per step, or dropping the column of a single-entry pivot
 row; only stored rows are content-reduced.  Pivots are the first nonzero
-column of each row.  The canonical reduced basis, Z[i] rows over one
-denominator each, is built only on request (``Echelon.reduced_basis``).
+column of each row; ``units`` holds those of single-entry rows, columns
+whose unit vector is in the span.  The canonical reduced basis, Z[i] rows
+over one denominator each, is built only on request (``reduced_basis``).
 
 Every bracket is ``row_bilinear`` over a target's one integer rule for a
 pair of basis keys: its bracket times one nonzero constant (12 for
 Virasoro, the lcm of a constant table's denominators).  Closures bracket
 the stored rows (``Echelon.rows``, never changed), whose span the constant
-leaves the same; ``bilinear(space, u, v, pair, scale)`` brackets two
+leaves the same, and skip two single-entry rows whose rule lands in
+``units``; ``bilinear(space, u, v, pair, scale)`` brackets two
 elements' rows, and is the one space test of every element bracket.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
@@ -71,6 +73,8 @@ class Echelon:
         # pivot column -> sparse Gaussian-integer row, in the order accepted;
         # a stored row never changes
         self._rows: dict = {}
+        # pivots of the single-entry stored rows, unit vectors in the span
+        self.units: set = set()
 
     @property
     def dim(self) -> int:
@@ -97,6 +101,8 @@ class Echelon:
         if not row:
             return False
         self._rows[min(row)] = _content_reduce(row)
+        if len(row) == 1:
+            self.units.update(row)
         return True
 
     def contains(self, row: Mapping) -> bool:

@@ -46,6 +46,9 @@ class GeneratorMorphism:
     def evaluate(self, a: FreeLieElement):
         """Image of ``a``: each Lyndon word is replaced by its standard
         bracketing evaluated in the target; linear over Q(i)."""
+        if not isinstance(a, FreeLieElement):
+            theirs = getattr(a, "space", type(a).__name__)
+            raise ValueError(f"cannot evaluate an element of {theirs} in f({self.n})")
         if a.n > self.n:
             raise ValueError(
                 f"element uses {a.n} generators, morphism has {self.n}"

@@ -296,13 +296,17 @@ def _bracket_closure(space: Subspace, pair, rounds=None) -> Subspace:
     A round brackets the Z[i] echelon rows accepted since the last round
     against every earlier row and each other (``row_bilinear`` over the
     integer rule ``pair``).  A stored row never changes, so the brackets of
-    two older rows are already in the span."""
+    two older rows are already in the span; so is that of two single-entry
+    rows whose rule has only ``units`` columns, and it is not inserted."""
     done = 0  # rows bracketed in earlier rounds
+    ech = space.echelon
     while rounds is None or rounds > 0:
-        rows = space.echelon.rows()
-        for i in range(done, len(rows)):
+        rows = ech.rows()
+        for i, a in enumerate(rows[done:], done):
             for b in rows[:i]:
-                space.echelon.insert(row_bilinear(rows[i], b, pair))
+                if len(a) == len(b) == 1 and pair(*a, *b).keys() <= ech.units:
+                    continue
+                ech.insert(row_bilinear(a, b, pair))
         if space.dim == len(rows):
             break
         done = len(rows)
@@ -429,8 +433,10 @@ def _witt_pair(n, m) -> dict:
 
 def _virasoro_row_pair(n, m) -> dict:
     # 12 times the Virasoro rule; m^3 - m vanishes for m = 1 and -1
-    rule = {k: 12 * x for k, x in _witt_pair(n, m).items()}
-    if rule and n + m == 0 and m * m != 1:
+    if n == m or WITT_CENTRAL in (n, m):
+        return {}
+    rule = {n + m: 12 * (m - n)}
+    if n + m == 0 and m * m != 1:
         rule[WITT_CENTRAL] = m**3 - m
     return rule
 

@@ -149,6 +149,32 @@ def test_complex_entries():
     assert ech.dim == 1
 
 
+def test_units_follow_the_stored_row():
+    ech = Echelon()
+    ech.insert({0: (1, 0), 1: (1, 0)})
+    # reduces to -e_1: the unit column is the stored row's pivot, 1, not 0
+    ech.insert({0: (2, 0)})
+    assert ech.units == {1}
+    assert not ech.insert({1: (0, 3)}) and ech.units == {1}
+
+
+zi_rows = st.dictionaries(
+    st.integers(0, 4),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(zi_rows, max_size=8))
+def test_units_are_the_single_entry_pivots(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+        assert ech.units == {min(r) for r in ech.rows() if len(r) == 1}
+
+
 class TestSubspace:
     def test_add_contains_basis(self):
         sl2 = sl_algebra(2)

@@ -65,6 +65,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             phi.evaluate(FreeLieElement.generator(4, 4))
 
+    def test_element_of_another_space(self):
+        # f(k) elements evaluate for every k <= n; anything else is refused
+        # with the space it lives in
+        phi = doubling_morphism(1)
+        assert phi.evaluate(FreeLieElement.generator(1, 1)) == phi.images[0]
+        with pytest.raises(ValueError, match=r"^cannot evaluate an element of sl\(2\)"):
+            phi.evaluate(sl_algebra(2).basis_element("e"))
+        with pytest.raises(ValueError, match=r"^cannot evaluate an element of int"):
+            phi.evaluate(0)
+        with pytest.raises(ValueError, match=r"^element uses 3 generators"):
+            phi.evaluate(FreeLieElement.generator(3, 3))
+
     def test_morphism_property_into_sl3(self):
         rng = random.Random(31)
         phi = yu_morphism()

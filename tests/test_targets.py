@@ -15,13 +15,16 @@ from oracle_utils import (
     rand_scalar,
 )
 from ymalg import free_lie
-from ymalg.linalg import Subspace
+from ymalg.linalg import Echelon, Subspace, row_bilinear
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
     StructureConstantAlgebra,
     WittElement,
     WITT_CENTRAL,
     WittTarget,
+    _bracket_closure,
+    _virasoro_row_pair,
+    _witt_pair,
     algebra_from_json,
     generated_window,
     heisenberg,
@@ -466,11 +469,24 @@ class TestClosureOracle:
         # cleared to Z[i], with 12 times the Virasoro rule
         ({2: "1/2", -1: "1/3i"}, {3: 1}),
         ({1: "2+i", 4: "-3/2"}, {-2: 1}),
+        # single-entry rows, whose brackets the closure skips once their
+        # columns are spanned, beside rows with several entries (the skip
+        # first fires at depth 4)
+        ({-2: 1}, {0: 1, 3: "i"}),
     ]
+    # the deepest depth checked for each pair: past 4 on the two where the
+    # skip fires most
+    WITT_DEPTHS = (4, 6, 4, 4, 4, 4, 5)
 
     @pytest.mark.parametrize("virasoro", [False, True])
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    @pytest.mark.parametrize("gens", WITT_GENS)
+    @pytest.mark.parametrize(
+        "gens, depth",
+        [
+            pytest.param(g, d, id=f"gens{k}-{d}")
+            for k, (g, top) in enumerate(zip(WITT_GENS, WITT_DEPTHS))
+            for d in range(1, top + 1)
+        ],
+    )
     def test_window_span_dim(self, gens, depth, virasoro):
         gens = [WittElement(g) for g in gens]
         report = generated_window(
@@ -481,6 +497,39 @@ class TestClosureOracle:
             lambda u, v: oracle_witt_bracket(u, v, virasoro),
             depth - 1,
         )
+
+    def test_window_insert_count(self, monkeypatch):
+        # all rows of e_-2, e_3 are single-entry: brackets that land on
+        # spanned unit columns are skipped, not inserted and rejected
+        calls = []
+        original = Echelon.insert
+
+        def counted(self, row):
+            calls.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(Echelon, "insert", counted)
+        report = generated_window(WITT, [witt_e(-2), witt_e(3)], 8, 10)
+        assert report.span_dim == 123
+        assert len(calls) <= 3 * report.span_dim
+
+    @pytest.mark.parametrize("virasoro", [False, True])
+    def test_skip_keeps_the_rows(self, virasoro):
+        # the closure's rows, in order, against rounds that insert every
+        # bracket
+        gens = [WittElement({-2: 1}), WittElement({0: 1, 3: "i"})]
+        pair = _virasoro_row_pair if virasoro else _witt_pair
+        span = _bracket_closure(Subspace(WITT.zero(), gens), pair, 4)
+        ech, done = Echelon(), 0
+        for g in gens:
+            ech.insert(g.row)
+        for _ in range(4):
+            rows = ech.rows()
+            for i in range(done, len(rows)):
+                for b in rows[:i]:
+                    ech.insert(row_bilinear(rows[i], b, pair))
+            done = len(rows)
+        assert span.echelon.rows() == ech.rows()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_subalgebra_closure_dim(self, m):
