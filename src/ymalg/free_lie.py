@@ -175,8 +175,6 @@ def _bracket_words(u: tuple, v: tuple) -> dict:
             for w2, c2 in _bracket_words(y, w).items():
                 res[w2] = res.get(w2, 0) - c * c2
         res = {w: c for w, c in res.items() if c}
-    # value is fully built before the (atomic) dict store, so concurrent
-    # readers never observe a partial entry
     _bracket_cache[(u, v)] = res
     return res
 

@@ -96,8 +96,7 @@ def build_realization(A: MatrixData) -> RealizationOfMatrix:
     Coroots are the first m coordinate rows; roots are rows of the augmented
     block [A^T | X], where X marks the columns of A outside the
     lexicographically first maximal independent column set, which forces the
-    root rows to be independent.  The result is verified before returning
-    (a failure would be a bug: every matrix has a realization).
+    root rows to be independent.  ``verify_realization`` is its one check.
     """
     m, r = A.m, A.rank
     h_dim = 2 * m - r
@@ -117,10 +116,7 @@ def build_realization(A: MatrixData) -> RealizationOfMatrix:
     pi_check = tuple(
         tuple(ONE if k == i else ZERO for k in range(h_dim)) for i in range(m)
     )
-    realization = RealizationOfMatrix(h_dim=h_dim, pi=tuple(pi), pi_check=pi_check)
-    if not verify_realization(realization, A):
-        raise RuntimeError("realization construction failed verification (bug)")
-    return realization
+    return RealizationOfMatrix(h_dim=h_dim, pi=tuple(pi), pi_check=pi_check)
 
 
 def pairing_matrix(R: RealizationOfMatrix) -> list:

@@ -10,11 +10,11 @@ over one denominator each, is built only on request (``reduced_basis``).
 
 Every bracket is ``row_bilinear`` over a target's one integer rule for a
 pair of basis keys: its bracket times one nonzero constant (12 for
-Virasoro, the lcm of a constant table's denominators).  Closures bracket
-the stored rows (``Echelon.rows``, never changed), whose span the constant
-leaves the same, and skip two single-entry rows whose rule lands in
-``units``; ``bilinear(space, u, v, pair, scale)`` brackets two
-elements' rows, and is the one space test of every element bracket.
+Virasoro, the lcm of a constant table's denominators).  Every closure
+brackets stored rows (``Echelon.rows``, never changed) in the one loop
+``Echelon.insert_brackets``, whose span the constant leaves the same;
+``bilinear(space, u, v, pair, scale)`` brackets two elements' rows, and
+is the one space test of every element bracket.
 
 Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
@@ -104,6 +104,15 @@ class Echelon:
         if len(row) == 1:
             self.units.update(row)
         return True
+
+    def insert_brackets(self, pairs: Iterable, rule) -> None:
+        """Insert ``row_bilinear(a, b, rule)`` for each pair of rows, in
+        order, but skip two single-entry rows whose rule lands in ``units``:
+        their bracket is already in the span."""
+        for a, b in pairs:
+            if len(a) == len(b) == 1 and rule(*a, *b).keys() <= self.units:
+                continue
+            self.insert(row_bilinear(a, b, rule))
 
     def contains(self, row: Mapping) -> bool:
         return not self._reduce(row)

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Mapping, NamedTuple, Sequence
 
-from .linalg import (
-    Combination, Echelon, Subspace, Value, bilinear, require_in, row_bilinear
-)
+from .linalg import Combination, Echelon, Subspace, Value, bilinear, require_in
 from .scalars import clear_denominators, format_linear, parse_scalar
 
 
@@ -294,19 +293,15 @@ def _bracket_closure(space: Subspace, pair, rounds=None) -> Subspace:
     or ``rounds`` rounds (None: no limit) have run.
 
     A round brackets the Z[i] echelon rows accepted since the last round
-    against every earlier row and each other (``row_bilinear`` over the
-    integer rule ``pair``).  A stored row never changes, so the brackets of
-    two older rows are already in the span; so is that of two single-entry
-    rows whose rule has only ``units`` columns, and it is not inserted."""
+    against every earlier row and each other (``Echelon.insert_brackets``
+    over the integer rule ``pair``).  A stored row never changes, so the
+    brackets of two older rows are already in the span."""
     done = 0  # rows bracketed in earlier rounds
     ech = space.echelon
     while rounds is None or rounds > 0:
         rows = ech.rows()
-        for i, a in enumerate(rows[done:], done):
-            for b in rows[:i]:
-                if len(a) == len(b) == 1 and pair(*a, *b).keys() <= ech.units:
-                    continue
-                ech.insert(row_bilinear(a, b, pair))
+        pairs = (product((a,), rows[:i]) for i, a in enumerate(rows[done:], done))
+        ech.insert_brackets(chain.from_iterable(pairs), pair)
         if space.dim == len(rows):
             break
         done = len(rows)
@@ -319,10 +314,9 @@ def _bracket_span(
 ) -> Subspace:
     """[A, B] as a Subspace; [A, A] brackets each pair of basis elements once."""
     left = A.echelon.rows()
+    pairs = combinations(left, 2) if B is A else product(left, B.echelon.rows())
     span = Subspace(algebra.zero())
-    for i, a in enumerate(left):
-        for b in left[i + 1 :] if B is A else B.echelon.rows():
-            span.echelon.insert(row_bilinear(a, b, algebra._row_pair))
+    span.echelon.insert_brackets(pairs, algebra._row_pair)
     return span
 
 

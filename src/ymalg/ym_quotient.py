@@ -5,7 +5,10 @@ generate, and dimensions; the Yang-Mills presentations are the main case.
 homogeneous relators of degree >= 2.  ym(n) is the quotient by the relators
 r_j = sum over i of [x_i, [x_i, x_j]], of degree 3; the "strong" presentation
 instead kills every [x_i, [x_i, x_j]] individually.  Serre relators, of
-degree 2 and up, present the positive part of a Kac-Moody algebra.
+degree 2 and up, present the positive part n_+ of a Kac-Moody algebra g(A);
+the strong relators are the Serre relators of A = 3I - J (2 on the diagonal,
+-1 off it).  So strong ym(n) is n_+ of g(3I - J): sl(3)'s for n = 2, and
+affine A2^(1)'s for n = 3, whose dims are 3, 3, 2 repeating.
 
 Since f(n) is generated in degree 1, the graded components of the ideal close
 under left bracketing with the generators alone: I_d is the span of the
@@ -26,7 +29,7 @@ from .free_lie import (
     bracket,
     free_lie_dim,
 )
-from .linalg import Subspace, Value, require_in, row_bilinear
+from .linalg import Subspace, Value, require_in
 
 
 class Presentation(Value):
@@ -89,9 +92,10 @@ def _ideal_component(pres: Presentation, d: int) -> Subspace:
     )
     if d > 1:
         generators = [{(j,): (1, 0)} for j in range(1, n + 1)]
-        for row in _ideal_component(pres, d - 1).echelon.rows():
-            for x in generators:
-                space.echelon.insert(row_bilinear(x, row, _bracket_words))
+        prev_rows = _ideal_component(pres, d - 1).echelon.rows()
+        space.echelon.insert_brackets(
+            ((x, row) for row in prev_rows for x in generators), _bracket_words
+        )
     return space
 
 

@@ -294,6 +294,100 @@ def hilbert_series_dims(n: int, max_degree: int) -> list:
     return dims[1:]
 
 
+# -- Kac-Moody root multiplicities --------------------------------------------------
+
+
+def _symmetrized_form(A) -> list:
+    """The invariant form (alpha_i|alpha_j) = d_i a_ij of a symmetrizable
+    matrix A: d_i > 0 are Fractions, 1 on the first index of each connected
+    component, with diag(d) A symmetric (AssertionError otherwise)."""
+    m = len(A)
+    d = [None] * m
+    for start in range(m):
+        if d[start] is not None:
+            continue
+        d[start], todo = Fraction(1), [start]
+        while todo:
+            i = todo.pop()
+            for j in range(m):
+                if A[i][j] and d[j] is None:
+                    d[j] = d[i] * Fraction(A[i][j], A[j][i])
+                    todo.append(j)
+    form = [[d[i] * A[i][j] for j in range(m)] for i in range(m)]
+    assert all(form[i][j] == form[j][i] for i in range(m) for j in range(m))
+    return form
+
+
+def peterson_multiplicities(A, H: int) -> dict:
+    """mult(beta) of the Kac-Moody algebra g(A) for every beta in Q_+ of
+    height 1..H, keyed by its coefficient tuple on the simple roots (0 where
+    beta is not a root), by Peterson's recursion (Kac, Infinite-dimensional
+    Lie algebras, Exercise 11.11) for a symmetrizable generalized Cartan
+    matrix A:
+
+        (beta | beta - 2 rho) c_beta = sum over beta' + beta'' = beta of
+                                       (beta' | beta'') c_beta' c_beta'',
+
+    over ordered pairs of nonzero beta', beta'' in Q_+, where
+    c_beta = sum over k | beta of mult(beta / k) / k and
+    (rho | alpha_i) = (alpha_i | alpha_i) / 2.  Where (beta | beta - 2 rho)
+    is 0 the recursion leaves c_beta free: a simple root has multiplicity 1,
+    and any other such beta is not a root, so its mult is 0 (c_beta is then
+    the sum over k >= 2 alone, not 0).  Exact Fractions; every
+    multiplicity is asserted to be a nonnegative integer."""
+    form = _symmetrized_form(A)
+    m = len(A)
+
+    def dot(u, v):
+        return sum(
+            x * form[i][j] * y
+            for i, x in enumerate(u) if x
+            for j, y in enumerate(v) if y
+        )
+
+    c: dict = {}
+    mult: dict = {}
+    for h in range(1, H + 1):
+        for beta in product(range(h + 1), repeat=m):
+            if sum(beta) != h:
+                continue
+            tail = sum(
+                (
+                    Fraction(mult[tuple(b // k for b in beta)], k)
+                    for k in range(2, h + 1)
+                    if all(b % k == 0 for b in beta)
+                ),
+                Fraction(0),
+            )
+            # 2 (rho | beta) = sum of beta_i (alpha_i | alpha_i)
+            lhs = dot(beta, beta) - sum(b * form[i][i] for i, b in enumerate(beta))
+            rhs = Fraction(0)
+            for part in product(*(range(b + 1) for b in beta)):
+                rest = tuple(b - p for b, p in zip(beta, part))
+                if any(part) and any(rest) and c[part] and c[rest]:
+                    rhs += dot(part, rest) * c[part] * c[rest]
+            if lhs:
+                c[beta] = rhs / lhs
+                mult[beta] = c[beta] - tail
+            else:
+                # the identity still holds: its right side must vanish
+                assert rhs == 0, beta
+                mult[beta] = Fraction(h == 1)
+                c[beta] = mult[beta] + tail
+            assert mult[beta].denominator == 1 and mult[beta] >= 0, (beta, mult[beta])
+            mult[beta] = int(mult[beta])
+    return mult
+
+
+def peterson_dims_by_height(A, H: int) -> list:
+    """dim of the height-h part of n_+ of g(A), the sum of mult(beta) over
+    beta of height h, for h = 1..H."""
+    dims = [0] * H
+    for beta, k in peterson_multiplicities(A, H).items():
+        dims[sum(beta) - 1] += k
+    return dims
+
+
 # -- random data ------------------------------------------------------------------
 
 

@@ -694,6 +694,19 @@ class TestRealization:
         assert results["ym_quotient_bound"] == 8
         assert results["realization"]["h_dim"] == 10
 
+    def test_failed_check_is_a_report(self, monkeypatch):
+        # a realization that fails its one check exits 1 with a full report
+        import ymalg.kac_moody
+
+        monkeypatch.setattr(ymalg.kac_moody, "verify_realization", lambda R, A: False)
+        path = Path(__file__).parent / "golden" / "matrices" / "affine_a1.json"
+        code, out, err = run_main("realization", str(path))
+        assert code == 1 and "Traceback" not in err
+        report = json.loads(out)
+        assert set(report) == {"command", "seed", "inputs_digest", "results"}
+        assert set(report["results"]) == REALIZATION_KEYS
+        assert report["results"]["verified"] is False
+
     def test_missing_file(self):
         code, out, err = run_main("realization", "/nonexistent/m.json")
         assert code == 2 and out == ""

@@ -70,6 +70,10 @@ class TestFreeLieDim:
             assert free_lie_dim(n, 2) == n * (n - 1) // 2
         assert free_lie_dim(1, 5) == 0
 
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match=r"^need n >= 1 and d >= 1$"):
+            free_lie_dim(0, 1)
+
 
 class TestLyndonWord:
     def test_validation(self):
@@ -200,6 +204,12 @@ class TestElements:
             FreeLieElement(2, {(1, 3): ONE})
         with pytest.raises(ValueError):
             FreeLieElement.basis_element(2, (1, 2, 3))
+
+    def test_generator_count_and_index_checked(self):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            FreeLieElement(0)
+        with pytest.raises(ValueError, match=r"^generator index 4 out of range 1\.\.3$"):
+            FreeLieElement.generator(3, 4)
 
     def test_grading_helpers(self):
         x1 = FreeLieElement.generator(2, 1)

@@ -135,6 +135,20 @@ class TestRealization:
         bad = RealizationOfMatrix(R.h_dim + 1, padded, padded_check)
         assert not verify_realization(bad, AFFINE_A1)
 
+    def test_wrong_shape_fails(self):
+        # a wrong number of root or coroot rows, then a root or coroot row
+        # of the wrong length
+        R = build_realization(AFFINE_A1)
+        pi, check = R.pi, R.pi_check
+        for bad_pi, bad_check in [
+            (pi[:1], check),
+            (pi, check + check[:1]),
+            ((pi[0][:-1],) + pi[1:], check),
+            (pi, check[:1] + (check[1] + (GR(0),),)),
+        ]:
+            bad = RealizationOfMatrix(R.h_dim, bad_pi, bad_check)
+            assert not verify_realization(bad, AFFINE_A1)
+
     def test_json_payload(self):
         data = realization_to_json(build_realization(A2))
         assert data["h_dim"] == 2

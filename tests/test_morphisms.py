@@ -155,6 +155,10 @@ class TestDoubling:
             y1, FreeLieElement.generator(2, 2)
         )
 
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match=r"^need m >= 1$"):
+            doubling_morphism(0)
+
     def test_composed_into_any_target_still_kills_relators(self):
         # push the doubled images of ym(6) through y -> (E12, E23, E31)
         sl3 = sl_algebra(3)

@@ -246,6 +246,10 @@ class TestConstructionValidation:
                 {(0, 1): {0: GR(1)}, (1, 0): {0: GR(1)}},
             )
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate basis labels$"):
+            StructureConstantAlgebra(("a", "a"), {})
+
     def test_nonzero_self_bracket_rejected(self):
         with pytest.raises(ValueError):
             StructureConstantAlgebra(("a",), {(0, 0): {0: GR(1)}})

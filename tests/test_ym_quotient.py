@@ -1,17 +1,25 @@
 import pytest
 
-from oracle_utils import fraction_rank, hilbert_series_dims, tensor_of_element
+from oracle_utils import (
+    fraction_rank,
+    hilbert_series_dims,
+    peterson_dims_by_height,
+    peterson_multiplicities,
+    tensor_of_element,
+)
 from ymalg.free_lie import (
     DegreeCapExceeded,
     FreeLieElement,
+    _bracket_words,
     bracket,
     free_lie_dim,
 )
-from ymalg.linalg import Subspace
+from ymalg.linalg import Echelon, Subspace, row_bilinear
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import sl_algebra
 from ymalg.ym_quotient import (
     Presentation,
+    _ideal_component,
     dims_table,
     dims_table_csv,
     ideal_graded_component,
@@ -107,6 +115,10 @@ class TestIdealComponents:
             bracket(x, r) for r in pres.relators for x in gens(2)
         ]
         assert tensor_rank(closure, 4, 2) == 3
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^need d >= 1$"):
+            ideal_graded_component(ym_relations(3), 0)
 
     def test_below_degree_three_is_zero(self):
         comp = ideal_graded_component(ym_relations(3), 2)
@@ -268,6 +280,10 @@ class TestTables:
             {"degree": 3, "free_dim": 8, "ideal_dim": 3, "ym_dim": 5},
         ]
 
+    def test_max_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^need max_degree >= 1$"):
+            dims_table(3, 0)
+
     def test_csv(self):
         out = dims_table_csv(dims_table(2, 3))
         assert out.splitlines() == [
@@ -353,3 +369,85 @@ def test_weak_dims_match_hilbert_series(n, max_degree):
     assert list(ym_graded_dims(n, max_degree).dims) == hilbert_series_dims(
         n, max_degree
     )
+
+
+# -- strong ym(n) is n_+ of the Kac-Moody algebra of 3I - J -------------------
+
+
+def strong_cartan(n):
+    """3I - J: 2 on the diagonal, -1 off it."""
+    return [[2 if i == j else -1 for j in range(n)] for i in range(n)]
+
+
+class TestPetersonOracle:
+    def test_a2(self):
+        # past height 4, so that c at 2a_1 + 2a_2, where the recursion's left
+        # side vanishes, is used
+        assert peterson_dims_by_height([[2, -1], [-1, 2]], 6) == [2, 1, 0, 0, 0, 0]
+
+    def test_affine_a1(self):
+        assert peterson_dims_by_height([[2, -2], [-2, 2]], 10) == [2, 1] * 5
+
+    def test_hyperbolic_multiplicity(self):
+        assert peterson_multiplicities([[2, -3], [-3, 2]], 10)[(5, 5)] == 16
+
+    @pytest.mark.parametrize("name", list(SERRE_CASES))
+    def test_serre_cases(self, name):
+        cartan, counts = SERRE_CASES[name]
+        assert peterson_dims_by_height(cartan, len(counts)) == counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strong_presentation_is_serre_of_3i_minus_j(n):
+    assert ym_relations(n, strong=True) == serre_presentation(strong_cartan(n))
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 9), (4, 7), (5, 6)])
+def test_strong_dims_match_peterson(n, max_degree):
+    # Gabber-Kac: strong ym(n) is n_+ of g(3I - J), graded by height
+    assert list(ym_graded_dims(n, max_degree, strong=True).dims) == (
+        peterson_dims_by_height(strong_cartan(n), max_degree)
+    )
+
+
+IDEAL_ROW_CASES = {
+    "weak-ym3": (ym_relations(3), 6),
+    "strong-ym3": (ym_relations(3, strong=True), 8),
+    "ym2": (ym_relations(2), 8),
+    "serre-A1^(1)": (serre_presentation(SERRE_CASES["A1^(1)"][0]), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(IDEAL_ROW_CASES))
+def test_ideal_rows_against_inserting_every_bracket(name, monkeypatch):
+    # the components' rows, in order, against a closure that inserts every
+    # [x, row], rows outer and generators inner
+    pres, top = IDEAL_ROW_CASES[name]
+    generators = [{(j,): (1, 0)} for j in range(1, pres.n + 1)]
+    calls = []
+    original = Echelon.insert
+
+    def counted(self, row):
+        calls.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    _ideal_component.cache_clear()
+    library = [_ideal_component(pres, d).echelon.rows() for d in range(1, top + 1)]
+    library_calls = len(calls)
+    calls.clear()
+    reference, prev = [], []
+    for d in range(1, top + 1):
+        ech = Echelon()
+        for r in pres.relators:
+            if r.degrees() == (d,):
+                ech.insert(r.row)
+        for row in prev:
+            for x in generators:
+                ech.insert(row_bilinear(x, row, _bracket_words))
+        prev = ech.rows()
+        reference.append(prev)
+    assert library == reference
+    if name == "strong-ym3":
+        # some brackets of two single-entry rows land on spanned units
+        assert library_calls < len(calls)
