@@ -20,8 +20,9 @@ Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
 ``Combination(space, terms)`` is every algebra element: a finite
 Q(i)-linear combination of basis keys of its space, held as one reduced
-Z[i] row over one denominator, so its arithmetic is integer work; its Q(i)
-``terms`` are built to render it (``space.format(terms)``).  ``Subspace``
+Z[i] row over one denominator, so its arithmetic is integer work: sums are
+one pass over rows (``_combine``), and ``_like`` reduces once, its gcd
+stopping at 1.  Its Q(i) ``terms`` are built to render it.  ``Subspace``
 wraps an Echelon around a span in one space: ideal components, subalgebra
 closures, series terms and Witt windows.  ``Value`` is the base of the
 small immutable types with value equality, such as the spaces.
@@ -29,7 +30,7 @@ small immutable types with value equality, such as the spaces.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import clear_denominators, from_ints, parse_scalar
@@ -107,12 +108,17 @@ class Echelon:
 
     def insert_brackets(self, pairs: Iterable, rule) -> None:
         """Insert ``row_bilinear(a, b, rule)`` for each pair of rows, in
-        order, but skip two single-entry rows whose rule lands in ``units``:
-        their bracket is already in the span."""
+        order, with one ``rule`` call for two single-entry rows, which are
+        skipped if it lands in ``units``: their bracket is in the span."""
+        units = self.units
         for a, b in pairs:
-            if len(a) == len(b) == 1 and rule(*a, *b).keys() <= self.units:
-                continue
-            self.insert(row_bilinear(a, b, rule))
+            if len(a) != 1 or len(b) != 1:
+                self.insert(row_bilinear(a, b, rule))
+            elif not (r := rule(*a, *b)).keys() <= units:
+                z = _gmul(*a.values(), *b.values())
+                self.insert({
+                    k: _gmul(z, (x, 0) if type(x) is int else x) for k, x in r.items()
+                })
 
     def contains(self, row: Mapping) -> bool:
         return not self._reduce(row)
@@ -251,7 +257,11 @@ class Combination:
     def _like(self, row: dict, den: int = 1):
         """An element of the same type and space: the Z[i] ``row`` (no zero
         entry) over ``den > 0``, brought to the canonical form."""
-        g = 1 if den == 1 else gcd(den, *(x for z in row.values() for x in z))
+        g = den
+        for a, b in row.values():
+            if g == 1:
+                break
+            g = gcd(g, a, b)
         if g != 1:
             row = {k: (a // g, b // g) for k, (a, b) in row.items()}
         out = object.__new__(type(self))
@@ -267,19 +277,22 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.row
 
+    def _combine(self, terms, den: int = 1):
+        """The sum of z * elem over (elem, z) terms, Z[i] pairs z, over
+        ``den``: one pass on the rows over their lcm denominator."""
+        lcd = lcm(*(elem.den for elem, _ in terms))
+        out: dict = {}
+        for elem, (x, y) in terms:
+            k = lcd // elem.den
+            x, y = x * k, y * k
+            for key, (p, q) in elem.row.items():
+                r, s = out.get(key, (0, 0))
+                out[key] = (r + p * x - q * y, s + p * y + q * x)
+        return self._like({k: z for k, z in out.items() if z != (0, 0)}, lcd * den)
+
     def __add__(self, other):
         require_in(self.space, other)
-        d, e = self.den, other.den
-        g = gcd(d, e)
-        s, t = e // g, d // g
-        out = {k: (a * s, b * s) for k, (a, b) in self.row.items()}
-        for k, (a, b) in other.row.items():
-            p, q = out.get(k, (0, 0))
-            p, q = p + a * t, q + b * t
-            out[k] = (p, q)
-            if not (p or q):
-                del out[k]
-        return self._like(out, d * s)
+        return self._combine(((self, (1, 0)), (other, (1, 0))))
 
     def __sub__(self, other):
         return self + (-other)

@@ -4,24 +4,27 @@ A GeneratorMorphism is fixed by images of the generators x_1..x_n in a
 target, anything with ``zero()`` and ``bracket(u, v)``: f(m)
 (``free_lie.FreeTarget``) or an algebra in ``targets``.
 Evaluation replaces each Lyndon basis word by its standard bracketing
-computed in the target; a morphism factors through the (strong) Yang-Mills
-algebra iff all relation residuals vanish.  ``pair_to_ym4_morphism`` is the
-one ym(4) pair map, for any target.
+computed in the target, by a straight-line program of the words cached per
+word set, and sums the word images on their Z[i] rows; a morphism factors
+through the (strong) Yang-Mills algebra iff all relation residuals vanish.
+``pair_to_ym4_morphism`` is the one ym(4) pair map, for any target.
 
 The sl(2) case study of ym(3) is implemented twice on purpose: once through
-closed-form scalar conditions in the branch parameters, once by direct
-residual evaluation, so the two code paths can be checked against each
-other exactly.
+closed-form conditions in the branch parameters, evaluated over Z[i] after
+clearing the parameters to one denominator, once by direct residual
+evaluation, so the two code paths can be checked against each other exactly.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Value, require_in
 from .scalars import I, ONE, ZERO, GaussianRational, from_ints, parse_scalar
+from .scalars import clear_denominators
 from .targets import analyze_image, sl_algebra
 from .ym_quotient import strong_relation_elements, ym_relations
 
@@ -39,13 +42,14 @@ class GeneratorMorphism:
         self.n = n
         self.target = target
         self.images = tuple(images)
-        # Lyndon word -> image, kept for the morphism's lifetime: the
-        # relators have low-degree words in common, each bracketed once
-        self._words: dict = {}
+        # Lyndon word -> image, from the generators on, for the morphism's
+        # lifetime: the relators' common low-degree words are bracketed once
+        self._words = {(j,): img for j, img in enumerate(self.images, 1)}
 
     def evaluate(self, a: FreeLieElement):
         """Image of ``a``: each Lyndon word is replaced by its standard
-        bracketing evaluated in the target; linear over Q(i)."""
+        bracketing evaluated in the target; linear over Q(i).  The word
+        images are summed on their Z[i] rows (``Combination._combine``)."""
         if not isinstance(a, FreeLieElement):
             theirs = getattr(a, "space", type(a).__name__)
             raise ValueError(f"cannot evaluate an element of {theirs} in f({self.n})")
@@ -53,23 +57,13 @@ class GeneratorMorphism:
             raise ValueError(
                 f"element uses {a.n} generators, morphism has {self.n}"
             )
-        br = self.target.bracket
-        memo = self._words
-
-        def eval_word(w: tuple):
-            if len(w) == 1:
-                return self.images[w[0] - 1]
-            hit = memo.get(w)
-            if hit is None:
-                u, v = standard_factorization(w)
-                hit = br(eval_word(u), eval_word(v))
-                memo[w] = hit
-            return hit
-
-        out = self.target.zero()
-        for w, z in a.row.items():
-            out = out + eval_word(w)._times(z)
-        return out._like(out.row, out.den * a.den)
+        memo, br = self._words, self.target.bracket
+        for w, u, v in _word_program(frozenset(a.row)):
+            if w not in memo:
+                memo[w] = br(memo[u], memo[v])
+        return self.target.zero()._combine(
+            [(memo[w], z) for w, z in a.row.items()], a.den
+        )
 
     def relation_residuals(self, strong: bool = False) -> list:
         """Images of the Yang-Mills relators.
@@ -94,6 +88,24 @@ class GeneratorMorphism:
     def __repr__(self):
         imgs = ", ".join(f"x_{k+1} -> {img!r}" for k, img in enumerate(self.images))
         return f"GeneratorMorphism({imgs})"
+
+
+@lru_cache(maxsize=256)
+def _word_program(words: frozenset) -> tuple:
+    """(w, u, v) for each word w of length >= 2 that ``words`` need, w = uv
+    standard, each after those of u and v: a straight-line program."""
+    program: dict = {}
+
+    def visit(w):
+        if len(w) > 1 and w not in program:
+            u, v = standard_factorization(w)
+            visit(u)
+            visit(v)
+            program[w] = (w, u, v)
+
+    for w in sorted(words):
+        visit(w)
+    return tuple(program.values())
 
 
 # -- canonical quotient constructions ----------------------------------------------
@@ -145,6 +157,24 @@ def pair_to_ym4_morphism(target, a, b) -> GeneratorMorphism:
 
 def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1]
+
+
+def _zdot(x, y) -> tuple:
+    """The sum of x_k y_k over two sequences of Z[i] pairs (a, b) = a + bi."""
+    re = im = 0
+    for (a, b), (c, d) in zip(x, y):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def _zlin(*terms) -> tuple:
+    """The sum of k z over (k, z) terms: ints k and Z[i] pairs z."""
+    re = im = 0
+    for k, (x, y) in terms:
+        re += k * x
+        im += k * y
+    return re, im
 
 
 def _as_pair(p):
@@ -217,31 +247,34 @@ def sl2_case_residual(p: Sl2CaseParameters) -> Sl2CaseConditions:
 
     All six vanish iff the assembled morphism kills r_1, r_2, r_3 (the
     independent check is ``relation_residuals`` on
-    ``assemble_sl2_morphism(p)``).
+    ``assemble_sl2_morphism(p)``).  The six parameters are cleared to Z[i]
+    over one denominator D, so dot products are over D^2 and combinations of
+    alpha, beta, gamma over D^3; only the nine results are scalars.
     """
-    a, b, g = p.alpha, p.beta, p.gamma
-    aa, bb, gg = _dot(a, a), _dot(b, b), _dot(g, g)
-    ab, ag, bg = _dot(a, b), _dot(a, g), _dot(b, g)
-    two = GaussianRational(2)
-
-    def comb(ca, cb, cg):
-        return tuple(ca * a[k] + cb * b[k] + cg * g[k] for k in (0, 1))
-
+    z, den = clear_denominators(dict(enumerate(p.alpha + p.beta + p.gamma)))
+    a, b, g = ((z.get(k, (0, 0)), z.get(k + 1, (0, 0))) for k in (0, 2, 4))
+    aa, bb, gg = _zdot(a, a), _zdot(b, b), _zdot(g, g)
+    ab, ag, bg = _zdot(a, b), _zdot(a, g), _zdot(b, g)
+    d2 = den * den
+    one = (d2, 0)  # the constant 1 over D^2
     if p.branch == "nilpotent":
-        r3 = (two * bb + ag, bg, gg)
-        rj = (
-            comb(two * bb + ag, -two * ab, -(aa + ONE)),
-            comb(-bg, two * ag, -ab),
-            comb(-gg, -two * bg, two * bb + ag),
-        )
+        s = _zlin((2, bb), (1, ag))
+        r3 = (s, bg, gg)
+        first = (s, _zlin((-2, ab)), _zlin((-1, aa), (-1, one)))
     else:
+        s = _zlin((2, bb), (2, one), (1, ag))
         r3 = (ab, ag, bg)
-        rj = (
-            comb(two * bb + two + ag, -two * ab, -aa),
-            comb(-bg, two * ag, -ab),
-            comb(-gg, -two * bg, two * bb + two + ag),
-        )
-    return Sl2CaseConditions(r3_conditions=r3, rj_conditions=rj)
+        first = (s, _zlin((-2, ab)), _zlin((-1, aa)))
+    # the coefficients of alpha, beta, gamma in the residuals of r_1, r_2
+    rj = (
+        first,
+        (_zlin((-1, bg)), _zlin((2, ag)), _zlin((-1, ab))),
+        (_zlin((-1, gg)), _zlin((-2, bg)), s),
+    )
+    c0, c1 = zip(a, b, g)
+    d3 = d2 * den
+    rj = tuple((from_ints(*_zdot(c, c0), d3), from_ints(*_zdot(c, c1), d3)) for c in rj)
+    return Sl2CaseConditions(tuple(from_ints(*x, d2) for x in r3), rj)
 
 
 def assemble_sl2_morphism(p: Sl2CaseParameters) -> GeneratorMorphism:

@@ -5,14 +5,14 @@ constants (antisymmetry completed, Jacobi verified on construction); sl(m)
 and the first Heisenberg algebra come built in.  ``WittTarget`` is the Witt
 algebra or its Virasoro central extension, with exact finite-support
 elements over the basis {e_k : k in Z} (+ c).  A morphism target needs only
-``zero()`` and ``bracket(u, v)``; the targets here also build elements,
-``basis_element(label)`` and ``element({label: scalar})`` (one builder for
-both), and render them with ``format(terms)``.  Elements are
-``Combination``s whose space is the target (``WittElement``s all share the
-Witt space).  Each target has one integer rule for a pair of basis keys,
-its bracket times a constant (the lcm of a constant table's denominators,
-12 for Virasoro), and every bracket, of echelon rows or of elements, is
-``linalg.row_bilinear`` over it.
+``zero()`` (stored once by an algebra) and ``bracket(u, v)``; the targets
+here also build elements, ``basis_element(label)`` and
+``element({label: scalar})`` (one builder for both), and render them with
+``format(terms)``.  Elements are ``Combination``s whose space is the target
+(``WittElement``s all share the Witt space).  Each target has one integer
+rule for a pair of basis keys, its bracket times a constant (the lcm of a
+constant table's denominators, 12 for Virasoro), and every bracket, of
+echelon rows or of elements, is ``linalg.row_bilinear`` over it.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -95,6 +95,7 @@ class StructureConstantAlgebra(_Labelled):
         )
         self._row_table = {ij: {k: zi[(*ij, k)] for k in v} for ij, v in table.items()}
         self._check_jacobi()
+        self._zero = Combination(self, {})
 
     @property
     def dim(self) -> int:
@@ -131,7 +132,7 @@ class StructureConstantAlgebra(_Labelled):
     # -- elements ---------------------------------------------------------
 
     def zero(self) -> Combination:
-        return Combination(self, {})
+        return self._zero
 
     def _key(self, label) -> int:
         if isinstance(label, str):

@@ -267,6 +267,79 @@ def oracle_closure_dim(gens: list, bracket, rounds=None) -> int:
     return len(basis)
 
 
+def oracle_matrix_evaluate(terms: dict, images: dict) -> dict:
+    """The matrix of sum c * b(w) over {Lyndon word w: (re, im)} terms, where
+    b(w) is the standard bracketing of w (split at its least proper suffix)
+    with letter j sent to the matrix ``images[j]``."""
+
+    def word(w):
+        if len(w) == 1:
+            return images[w[0]]
+        u, v = _least_suffix_split(w)
+        return oracle_matrix_bracket(word(u), word(v))
+
+    out: dict = {}
+    for w, c in terms.items():
+        for key, x in word(tuple(w)).items():
+            _cadd_into(out, key, pair_mul(c, x))
+    return out
+
+
+# -- the sl(2) case study's closed forms --------------------------------------------
+
+
+def oracle_sl2_conditions(branch: str, alpha, beta, gamma) -> tuple:
+    """The closed-form conditions for a morphism ym(3) -> sl(2) with
+    phi(x_k) = alpha_k e + beta_k h + gamma_k f (k = 1, 2) and phi(x_3) = e
+    ("nilpotent") or h ("semisimple"), on (re, im) Fraction pairs, with
+    x.y = x_1 y_1 + x_2 y_2.  Returns (r3, rj): three values, and three
+    pairs (k = 1, 2) of c_a alpha_k + c_b beta_k + c_g gamma_k, for
+
+        nilpotent:  r3 = (2 b.b + a.g, b.g, g.g)
+                    (c_a, c_b, c_g) = (2 b.b + a.g, -2 a.b, -(a.a + 1)),
+                                      (-b.g, 2 a.g, -a.b),
+                                      (-g.g, -2 b.g, 2 b.b + a.g)
+        semisimple: r3 = (a.b, a.g, b.g)
+                    (c_a, c_b, c_g) = (2 b.b + 2 + a.g, -2 a.b, -a.a),
+                                      (-b.g, 2 a.g, -a.b),
+                                      (-g.g, -2 b.g, 2 b.b + 2 + a.g)
+    """
+    a, b, g = alpha, beta, gamma
+
+    def dot(x, y):
+        return pair_add(pair_mul(x[0], y[0]), pair_mul(x[1], y[1]))
+
+    def times(k, x):
+        return pair_mul((Fraction(k), Fraction(0)), x)
+
+    aa, bb, gg = dot(a, a), dot(b, b), dot(g, g)
+    ab, ag, bg = dot(a, b), dot(a, g), dot(b, g)
+    one = (Fraction(1), Fraction(0))
+    if branch == "nilpotent":
+        s = pair_add(times(2, bb), ag)
+        r3 = (s, bg, gg)
+        first = (s, times(-2, ab), times(-1, pair_add(aa, one)))
+    else:
+        s = pair_add(pair_add(times(2, bb), times(2, one)), ag)
+        r3 = (ab, ag, bg)
+        first = (s, times(-2, ab), times(-1, aa))
+    coeffs = (
+        first,
+        (times(-1, bg), times(2, ag), times(-1, ab)),
+        (times(-1, gg), times(-2, bg), s),
+    )
+    rj = tuple(
+        tuple(
+            pair_add(
+                pair_add(pair_mul(ca, a[k]), pair_mul(cb, b[k])), pair_mul(cg, g[k])
+            )
+            for k in (0, 1)
+        )
+        for ca, cb, cg in coeffs
+    )
+    return r3, rj
+
+
 # -- Hilbert-series dimensions ------------------------------------------------------
 
 

@@ -175,6 +175,42 @@ def test_units_are_the_single_entry_pivots(rows):
         assert ech.units == {min(r) for r in ech.rows() if len(r) == 1}
 
 
+def _zi_rule(i, j):
+    # one or two keys, int and Z[i] values, nothing on the diagonal
+    if i == j:
+        return {}
+    return {i + j: j - i} if (i + j) % 2 else {i + j: (j - i, 1), i + j + 5: 3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(zi_rows, max_size=6), st.lists(zi_rows, max_size=6))
+def test_insert_brackets_calls_the_rule_once_per_unit_pair(spanned, rows):
+    # against the loop that tests the skip with one rule call and inserts
+    # row_bilinear with more: the same rows, in the same order, and one rule
+    # call for each pair of single-entry rows
+    pairs = [(a, b) for a in rows for b in rows]
+    ref, ech = Echelon(), Echelon()
+    for row in spanned:
+        ref.insert(row)
+        ech.insert(row)
+    for a, b in pairs:
+        if len(a) == len(b) == 1 and _zi_rule(*a, *b).keys() <= ref.units:
+            continue
+        ref.insert(row_bilinear(a, b, _zi_rule))
+    calls = []
+
+    def counted(i, j):
+        calls.append((i, j))
+        return _zi_rule(i, j)
+
+    ech.insert_brackets(pairs, counted)
+    assert ech.rows() == ref.rows()
+    assert [list(r) for r in ech.rows()] == [list(r) for r in ref.rows()]
+    assert len(calls) == sum(
+        1 if len(a) == len(b) == 1 else len(a) * len(b) for a, b in pairs
+    )
+
+
 class TestSubspace:
     def test_add_contains_basis(self):
         sl2 = sl_algebra(2)

@@ -1,9 +1,18 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracle_utils import oracle_sl_matrix, rand_homogeneous, rand_scalar
+from oracle_utils import (
+    _least_suffix_split,
+    oracle_matrix_evaluate,
+    oracle_sl2_conditions,
+    oracle_sl_matrix,
+    rand_homogeneous,
+    rand_scalar,
+)
 from ymalg.free_lie import FreeLieElement, bracket
 from ymalg.morphisms import (
     FreeTarget,
@@ -128,6 +137,63 @@ class TestEvaluate:
         # the word images live as long as the morphism: no bracket is redone
         assert [phi.evaluate(r) for r in ym_relations(3).relators] == separate
         assert len(calls) == 9
+
+    def test_word_program_matches_the_matrix_oracle(self):
+        # each Lyndon word's standard bracketing of E12, E23, E31, as 3x3
+        # matrices multiplied out without the library
+        phi = yu_morphism()
+        sl3 = phi.target
+        one = (Fraction(1), Fraction(0))
+        gens = {
+            j: oracle_sl_matrix({lab: one})
+            for j, lab in enumerate(("E12", "E23", "E31"), 1)
+        }
+        rng = random.Random(34)
+        for d in range(1, 6):
+            for _ in range(8):
+                a = rand_homogeneous(3, d, rng)
+                image = phi.evaluate(a)
+                assert oracle_sl_matrix(
+                    {sl3.labels[k]: (c.re, c.im) for k, c in image.terms.items()}
+                ) == oracle_matrix_evaluate(
+                    {w: (c.re, c.im) for w, c in a.terms.items()}, gens
+                )
+
+    def test_sum_after_summand_brackets_no_word_twice(self, monkeypatch):
+        sl2 = sl_algebra(2)
+        rng = random.Random(35)
+        images = [
+            sl2.element({lab: rand_scalar(rng) for lab in "ehf"}) for _ in range(3)
+        ]
+        r1, r2, _ = ym_relations(3).relators
+
+        def words(*elems):
+            # every word of length >= 2 that the standard bracketings use
+            todo = [w for e in elems for w in e.row]
+            seen = set()
+            while todo:
+                w = tuple(todo.pop())
+                if len(w) > 1 and w not in seen:
+                    seen.add(w)
+                    todo += _least_suffix_split(w)
+            return seen
+
+        expected = [
+            GeneratorMorphism(3, sl2, images).evaluate(r) for r in (r1, r1 + r2)
+        ]
+        calls = []
+        original = StructureConstantAlgebra.bracket
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return original(self, u, v)
+
+        monkeypatch.setattr(StructureConstantAlgebra, "bracket", counted)
+        phi = GeneratorMorphism(3, sl2, images)
+        assert phi.evaluate(r1) == expected[0]
+        assert len(calls) == len(words(r1))
+        assert phi.evaluate(r1 + r2) == expected[1]
+        assert len(calls) == len(words(r1, r2)) > len(words(r1))
 
     def test_image_arity_checked(self):
         sl2 = sl_algebra(2)
@@ -365,6 +431,47 @@ class TestSl2Case:
                 })
             third = "E12" if branch == "nilpotent" else "H1"
             assert matrix(images[2]) == oracle_sl_matrix({third: (1, 0)})
+
+
+_PARTS = st.builds(Fraction, st.integers(-50, 50), st.sampled_from((1, 2, 3, 6)))
+_SCALARS = st.tuples(_PARTS, _PARTS)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("branch", ["nilpotent", "semisimple"])
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.lists(_SCALARS, min_size=6, max_size=6))
+    def test_all_nine_values_match_the_oracle(self, branch, params):
+        # mixed denominators 1, 2, 3 and 6 across the six parameters
+        gr = [GR(*x) for x in params]
+        conditions = sl2_case_residual(
+            Sl2CaseParameters(branch, tuple(gr[0:2]), tuple(gr[2:4]), tuple(gr[4:6]))
+        )
+        r3, rj = oracle_sl2_conditions(
+            branch, tuple(params[0:2]), tuple(params[2:4]), tuple(params[4:6])
+        )
+        assert [(c.re, c.im) for c in conditions.r3_conditions] == list(r3)
+        assert [
+            tuple((c.re, c.im) for c in pair) for pair in conditions.rj_conditions
+        ] == list(rj)
+
+    def test_closed_forms_form_no_scalar(self, monkeypatch):
+        # the parameters are cleared to Z[i] once; only the nine returned
+        # values are built as scalars
+        params = [
+            sample_case_parameters(random.Random(f"zi:{k}"), branch)
+            for branch in ("nilpotent", "semisimple")
+            for k in range(50)
+        ]
+        expected = [sl2_case_residual(p) for p in params]
+        assert {c.all_zero for c in expected} == {True, False}
+
+        def refuse(*args):
+            raise AssertionError("a closed form combined Q(i) scalars")
+
+        for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+            monkeypatch.setattr(GR, attr, refuse)
+        assert [sl2_case_residual(p) for p in params] == expected
 
 
 class TestAudit:
