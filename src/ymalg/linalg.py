@@ -20,12 +20,12 @@ Column keys only need to be hashable and mutually ordered (ints for dense
 coordinates and Witt indices, Lyndon words for free Lie coordinates).
 ``Combination(space, terms)`` is every algebra element: a finite
 Q(i)-linear combination of basis keys of its space, held as one reduced
-Z[i] row over one denominator, so its arithmetic is integer work: sums are
-one pass over rows (``_combine``), and ``_like`` reduces once, its gcd
-stopping at 1.  Its Q(i) ``terms`` are built to render it.  ``Subspace``
-wraps an Echelon around a span in one space: ideal components, subalgebra
-closures, series terms and Witt windows.  ``Value`` is the base of the
-small immutable types with value equality, such as the spaces.
+Z[i] row over one denominator, so its arithmetic is integer work: ``+``,
+``-``, negation and scalar ``*`` are one pass over rows (``_combine``), and
+``_like`` reduces once, its gcd stopping at 1; Q(i) ``terms`` render it.
+``Subspace`` wraps an Echelon around a span in one space: ideal components,
+subalgebra closures, series terms and Witt windows.  ``Value`` is the base
+of the small immutable types with value equality, such as the spaces.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class Combination:
 
     def _combine(self, terms, den: int = 1):
         """The sum of z * elem over (elem, z) terms, Z[i] pairs z, over
-        ``den``: one pass on the rows over their lcm denominator."""
+        ``den``: the one pass on rows, over their lcm denominator."""
         lcd = lcm(*(elem.den for elem, _ in terms))
         out: dict = {}
         for elem, (x, y) in terms:
@@ -295,24 +295,15 @@ class Combination:
         return self._combine(((self, (1, 0)), (other, (1, 0))))
 
     def __sub__(self, other):
-        return self + (-other)
+        require_in(self.space, other)
+        return self._combine(((self, (1, 0)), (other, (-1, 0))))
 
     def __neg__(self):
-        return self._like({k: (-a, -b) for k, (a, b) in self.row.items()}, self.den)
-
-    def _times(self, z: tuple, den: int = 1):
-        """The element times ``(x + y*i) / den``, for ints with ``den > 0``."""
-        x, y = z
-        if not (x or y):
-            return self._like({})
-        return self._like(
-            {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.row.items()},
-            self.den * den,
-        )
+        return self._combine(((self, (-1, 0)),))
 
     def __mul__(self, scalar):
         row, den = clear_denominators({0: parse_scalar(scalar)})
-        return self._times(row.get(0, (0, 0)), den)
+        return self._combine(((self, row.get(0, (0, 0))),), den)
 
     __rmul__ = __mul__
 

@@ -4,8 +4,8 @@ A GeneratorMorphism is fixed by images of the generators x_1..x_n in a
 target, anything with ``zero()`` and ``bracket(u, v)``: f(m)
 (``free_lie.FreeTarget``) or an algebra in ``targets``.
 Evaluation replaces each Lyndon basis word by its standard bracketing
-computed in the target, by a straight-line program of the words cached per
-word set, and sums the word images on their Z[i] rows; a morphism factors
+computed in the target, by ``free_lie``'s straight-line program of the
+words, and sums the word images on their Z[i] rows; a morphism factors
 through the (strong) Yang-Mills algebra iff all relation residuals vanish.
 ``pair_to_ym4_morphism`` is the one ym(4) pair map, for any target.
 
@@ -18,10 +18,9 @@ evaluation, so the two code paths can be checked against each other exactly.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .free_lie import FreeLieElement, FreeTarget, standard_factorization
+from .free_lie import FreeLieElement, FreeTarget, _word_program
 from .linalg import Value, require_in
 from .scalars import I, ONE, ZERO, GaussianRational, from_ints, parse_scalar
 from .scalars import clear_denominators
@@ -88,24 +87,6 @@ class GeneratorMorphism:
     def __repr__(self):
         imgs = ", ".join(f"x_{k+1} -> {img!r}" for k, img in enumerate(self.images))
         return f"GeneratorMorphism({imgs})"
-
-
-@lru_cache(maxsize=256)
-def _word_program(words: frozenset) -> tuple:
-    """(w, u, v) for each word w of length >= 2 that ``words`` need, w = uv
-    standard, each after those of u and v: a straight-line program."""
-    program: dict = {}
-
-    def visit(w):
-        if len(w) > 1 and w not in program:
-            u, v = standard_factorization(w)
-            visit(u)
-            visit(v)
-            program[w] = (w, u, v)
-
-    for w in sorted(words):
-        visit(w)
-    return tuple(program.values())
 
 
 # -- canonical quotient constructions ----------------------------------------------
@@ -277,15 +258,20 @@ def sl2_case_residual(p: Sl2CaseParameters) -> Sl2CaseConditions:
     return Sl2CaseConditions(tuple(from_ints(*x, d2) for x in r3), rj)
 
 
-def assemble_sl2_morphism(p: Sl2CaseParameters) -> GeneratorMorphism:
-    """The morphism ym(3) -> sl(2) described by the branch parameters."""
+def _sl2_case_images(p: Sl2CaseParameters) -> list:
+    """The images of x_1, x_2, x_3 in sl(2) described by the branch parameters."""
     sl2 = sl_algebra(2)
     images = [
         sl2.element({"e": p.alpha[k], "h": p.beta[k], "f": p.gamma[k]})
         for k in (0, 1)
     ]
     images.append(sl2.basis_element("e" if p.branch == "nilpotent" else "h"))
-    return GeneratorMorphism(3, sl2, images)
+    return images
+
+
+def assemble_sl2_morphism(p: Sl2CaseParameters) -> GeneratorMorphism:
+    """The morphism ym(3) -> sl(2) described by the branch parameters."""
+    return GeneratorMorphism(3, sl_algebra(2), _sl2_case_images(p))
 
 
 # -- the solvable-image audit -------------------------------------------------------
@@ -405,18 +391,13 @@ def _audit_candidates(samples: int, seed: int):
                 sl2.element({lab: _rand_scalar(rng) for lab in ("e", "h", "f")})
                 for _ in range(3)
             ]
-            yield GeneratorMorphism(3, sl2, images)
         else:
-            p = sample_case_parameters(rng, branch)
-            phi = assemble_sl2_morphism(p)
+            images = _sl2_case_images(sample_case_parameters(rng, branch))
             if mode == 2:
-                # scale all images; residuals scale by the cube, so the
-                # residual-zero property is preserved
+                # scaled images scale the residuals by lam cubed: zero stays zero
                 lam = _rand_scalar(rng)
-                phi = GeneratorMorphism(
-                    3, sl2, [img * lam for img in phi.images]
-                )
-            yield phi
+                images = [img * lam for img in images]
+        yield GeneratorMorphism(3, sl2, images)
 
 
 def solvable_image_audit(samples: int, seed: int) -> AuditReport:

@@ -13,6 +13,7 @@ from oracle_utils import (
     oracle_matrix_bracket,
     oracle_sl_matrix,
     oracle_witt_bracket,
+    pair_add,
     pair_mul,
     rand_scalar,
     tensor_commutator,
@@ -384,6 +385,38 @@ def test_vector_space_laws(kind, data):
     assert (a * 0).is_zero
     x, y = (a + b) + c, c + (b + a)
     assert x == y and hash(x) == hash(y)
+
+
+# zero, i, and a scalar whose real and imaginary denominators differ, beside
+# the drawn ones
+oracle_scalars = st.one_of(
+    st.sampled_from((GR(0), GR(0, 1), GR(Fraction(1, 2), Fraction(-3, 4)))),
+    scalars,
+)
+
+
+def _pair_combination(*terms) -> dict:
+    """The sum of z * x over (x, z) terms, term by term over Fraction pairs."""
+    out = {}
+    for x, z in terms:
+        for k, c in x.items():
+            out[k] = pair_add(out.get(k, (0, 0)), pair_mul(z, c))
+    return {k: c for k, c in out.items() if any(c)}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_matches_the_pair_oracle(kind, data):
+    # the element operations against Fraction-pair arithmetic on their terms
+    a, b = (data.draw(ELEMENTS[kind]) for _ in range(2))
+    s = data.draw(oracle_scalars)
+    x, y = _pairs(a.terms), _pairs(b.terms)
+    one, minus = (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))
+    assert _pairs((a + b).terms) == _pair_combination((x, one), (y, one))
+    assert _pairs((a - b).terms) == _pair_combination((x, one), (y, minus))
+    assert _pairs((-a).terms) == _pair_combination((x, minus))
+    assert _pairs((a * s).terms) == _pair_combination((x, (s.re, s.im)))
 
 
 @pytest.mark.parametrize("kind", sorted(ELEMENTS))

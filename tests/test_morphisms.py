@@ -13,6 +13,7 @@ from oracle_utils import (
     rand_homogeneous,
     rand_scalar,
 )
+from ymalg import free_lie
 from ymalg.free_lie import FreeLieElement, bracket
 from ymalg.morphisms import (
     FreeTarget,
@@ -194,6 +195,12 @@ class TestEvaluate:
         assert len(calls) == len(words(r1))
         assert phi.evaluate(r1 + r2) == expected[1]
         assert len(calls) == len(words(r1, r2)) > len(words(r1))
+
+    def test_clear_caches_empties_the_word_program(self):
+        yu_morphism().relation_residuals()
+        assert free_lie._word_program.cache_info().currsize > 0
+        free_lie.clear_caches()
+        assert free_lie._word_program.cache_info().currsize == 0
 
     def test_image_arity_checked(self):
         sl2 = sl_algebra(2)
@@ -531,6 +538,21 @@ class TestAudit:
         # the images and the order of the random draws behind them
         text = "\n".join(repr(phi) for phi in _audit_candidates(300, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_each_candidate_is_built_once(self, seed, monkeypatch):
+        # the two fixed candidates and one morphism per sample: a scaled
+        # candidate is built from its images, not from a second morphism
+        built = []
+        original = GeneratorMorphism.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(GeneratorMorphism, "__init__", counted)
+        assert sum(1 for _ in _audit_candidates(300, seed)) == 302
+        assert len(built) == 302
 
 
 class TestResidualEvaluation:
