@@ -12,7 +12,9 @@ here also build elements, ``basis_element(label)`` and
 (``WittElement``s all share the Witt space).  Each target has one integer
 rule for a pair of basis keys, its bracket times a constant (the lcm of a
 constant table's denominators, 12 for Virasoro), and every bracket, of
-echelon rows or of elements, is ``linalg.row_bilinear`` over it.
+echelon rows or of elements, is ``linalg.row_bilinear`` over it.  The Witt
+window closure is graded (``_witt_degree``): it never pairs e_k with e_l
+when k + l != 0 is a spanned unit column, a pair the unit skip would drop.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -289,19 +291,35 @@ def subalgebra_closure(
     return _bracket_closure(space, algebra._row_pair)
 
 
-def _bracket_closure(space: Subspace, pair, rounds=None) -> Subspace:
+def _bracket_closure(
+    space: Subspace, pair, rounds=None, degree=lambda row: None
+) -> Subspace:
     """Add [S, S] to the span S, round after round, until it stops growing
     or ``rounds`` rounds (None: no limit) have run.
 
     A round brackets the Z[i] echelon rows accepted since the last round
     against every earlier row and each other (``Echelon.insert_brackets``
     over the integer rule ``pair``).  A stored row never changes, so the
-    brackets of two older rows are already in the span."""
+    brackets of two older rows are already in the span.
+
+    ``degree(row)`` is a homogeneous row's degree, None if it has none.  A
+    row of nonzero degree p skips rows of nonzero degree q with p + q != 0
+    in ``units``: under the Witt grading both are single entries, a pair
+    ``insert_brackets`` would skip anyway (units only grow)."""
     done = 0  # rows bracketed in earlier rounds
     ech = space.echelon
+    units, degrees = ech.units, []
+
+    def partners(rows, i):  # the rows before row i whose bracket may be new
+        if not (p := degrees[i]):
+            return rows[:i]
+        older = zip(rows[:i], degrees)
+        return [b for b, q in older if not (q and p + q and p + q in units)]
+
     while rounds is None or rounds > 0:
         rows = ech.rows()
-        pairs = (product((a,), rows[:i]) for i, a in enumerate(rows[done:], done))
+        degrees += map(degree, rows[len(degrees):])
+        pairs = (product((rows[i],), partners(rows, i)) for i in range(done, len(rows)))
         ech.insert_brackets(chain.from_iterable(pairs), pair)
         if space.dim == len(rows):
             break
@@ -436,6 +454,12 @@ def _virasoro_row_pair(n, m) -> dict:
     return rule
 
 
+def _witt_degree(row) -> int | None:
+    # e_k has degree k and c degree 0; None for a row of mixed degrees
+    degrees = {0 if k == WITT_CENTRAL else k for k in row}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
 def witt_bracket(u: WittElement, v: WittElement, virasoro: bool = False) -> WittElement:
     """[e_n, e_m] = (m - n) e_{m+n}, plus the central cocycle
     delta_{m+n,0} (m^3 - m)/12 * c when the Virasoro flag is set.
@@ -507,7 +531,8 @@ def generated_window(
         raise ValueError("need a nonempty generator list")
 
     pair = _virasoro_row_pair if target.virasoro else _witt_pair
-    span = _bracket_closure(Subspace(target.zero(), gens), pair, depth - 1)
+    space = Subspace(target.zero(), gens)
+    span = _bracket_closure(space, pair, depth - 1, _witt_degree)
     # project the span onto e_{-window}..e_{window} and c, then test the
     # unit vector of each index the span reaches in the window
     keys = sorted({k for row in span.echelon.rows() for k in row if abs(k) <= window})

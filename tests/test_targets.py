@@ -14,7 +14,7 @@ from oracle_utils import (
     oracle_sl_matrix,
     rand_scalar,
 )
-from ymalg import free_lie
+from ymalg import free_lie, targets
 from ymalg.linalg import Echelon, Subspace, row_bilinear
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
@@ -24,6 +24,7 @@ from ymalg.targets import (
     WittTarget,
     _bracket_closure,
     _virasoro_row_pair,
+    _witt_degree,
     _witt_pair,
     algebra_from_json,
     generated_window,
@@ -458,7 +459,8 @@ class TestGeneratedWindow:
 
 
 def _pairs(terms: dict) -> dict:
-    return {k: (c.re, c.im) for k, c in terms.items()}
+    # the oracle's central key is "c"
+    return {"c" if k == WITT_CENTRAL else k: (c.re, c.im) for k, c in terms.items()}
 
 
 class TestClosureOracle:
@@ -477,10 +479,13 @@ class TestClosureOracle:
         # columns are spanned, beside rows with several entries (the skip
         # first fires at depth 4)
         ({-2: 1}, {0: 1, 3: "i"}),
+        # a homogeneous degree-0 row with two entries, which the graded
+        # closure pairs with every row
+        ({-2: 1}, {2: 1}, {0: 1, WITT_CENTRAL: "1/2"}),
     ]
-    # the deepest depth checked for each pair: past 4 on the two where the
+    # the deepest depth checked for each set: past 4 on the two where the
     # skip fires most
-    WITT_DEPTHS = (4, 6, 4, 4, 4, 4, 5)
+    WITT_DEPTHS = (4, 6, 4, 4, 4, 4, 5, 4)
 
     @pytest.mark.parametrize("virasoro", [False, True])
     @pytest.mark.parametrize(
@@ -517,23 +522,71 @@ class TestClosureOracle:
         assert report.span_dim == 123
         assert len(calls) <= 3 * report.span_dim
 
+    # generator sets on which the graded closure drops pairs, with the
+    # rounds run: single entries; a two-entry row of degree 0, after the
+    # rows of nonzero degree and before them; c; a row of mixed degrees
+    GRADED_SETS = [
+        (({-2: 1}, {3: 1}), 6),
+        (({-2: 1}, {2: 1}, {0: 1, WITT_CENTRAL: "1/2"}), 4),
+        (({0: 1, WITT_CENTRAL: "1/2"}, {-2: 1}, {3: 1}), 4),
+        (({-5: 1}, {5: 1}, {WITT_CENTRAL: 1}), 4),
+        (({-2: 1}, {0: 1, 3: "i"}), 4),
+    ]
+
     @pytest.mark.parametrize("virasoro", [False, True])
-    def test_skip_keeps_the_rows(self, virasoro):
+    def test_skip_keeps_the_rows(self, monkeypatch, virasoro):
         # the closure's rows, in order, against rounds that insert every
-        # bracket
-        gens = [WittElement({-2: 1}), WittElement({0: 1, 3: "i"})]
+        # bracket; under the Witt grading the closure inserts the same rows
+        # in the same order as without it
         pair = _virasoro_row_pair if virasoro else _witt_pair
-        span = _bracket_closure(Subspace(WITT.zero(), gens), pair, 4)
-        ech, done = Echelon(), 0
-        for g in gens:
-            ech.insert(g.row)
-        for _ in range(4):
-            rows = ech.rows()
-            for i in range(done, len(rows)):
-                for b in rows[:i]:
-                    ech.insert(row_bilinear(rows[i], b, pair))
-            done = len(rows)
-        assert span.echelon.rows() == ech.rows()
+        inserted, insert = [], Echelon.insert
+        monkeypatch.setattr(
+            Echelon, "insert", lambda ech, row: inserted.append(row) or insert(ech, row)
+        )
+
+        def closure(gens, rounds, **grading):
+            inserted.clear()
+            space = Subspace(WITT.zero(), gens)
+            span = _bracket_closure(space, pair, rounds, **grading)
+            return span.echelon.rows(), list(inserted)
+
+        for gens, rounds in self.GRADED_SETS:
+            gens = [WittElement(g) for g in gens]
+            ungraded = closure(gens, rounds)
+            assert closure(gens, rounds, degree=_witt_degree) == ungraded
+            ech, done = Echelon(), 0
+            for g in gens:
+                ech.insert(g.row)
+            for _ in range(rounds):
+                rows = ech.rows()
+                for i in range(done, len(rows)):
+                    for b in rows[:i]:
+                        ech.insert(row_bilinear(rows[i], b, pair))
+                done = len(rows)
+            assert ungraded[0] == ech.rows()
+
+    @pytest.mark.parametrize(
+        "virasoro, most", [(False, 2), (True, 2.5)], ids=["witt", "virasoro"]
+    )
+    def test_window_rule_calls(self, monkeypatch, virasoro, most):
+        # the graded closure calls the rule about twice per spanned row: a
+        # pair whose degree is a spanned unit column is dropped before the
+        # call (1,953 Witt and 2,016 Virasoro calls without the grading;
+        # 199 and 262 with it)
+        calls = []
+        for name in ("_witt_pair", "_virasoro_row_pair"):
+            rule = getattr(targets, name)
+
+            def counted(n, m, rule=rule):
+                calls.append((n, m))
+                return rule(n, m)
+
+            monkeypatch.setattr(targets, name, counted)
+        report = generated_window(
+            WittTarget(virasoro), [witt_e(-2), witt_e(3)], 8, 10
+        )
+        assert report.span_dim == (124 if virasoro else 123)
+        assert len(calls) <= most * report.span_dim
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_subalgebra_closure_dim(self, m):
