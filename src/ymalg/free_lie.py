@@ -11,13 +11,12 @@ Brackets of basis elements are rewritten into the basis by the classical
 Lyndon bracketing recursion, memoized per word pair, in integers: the one
 rule of every f(m) bracket over Gaussian-integer rows (``row_bilinear``),
 of elements and echelon rows alike.  ``clear_caches`` resets every word
-cache, the ``_word_program`` of morphism evaluation too.  ``FreeTarget(m)``
-is the space of every element of f(m), and a morphism target.
+cache.  ``FreeTarget(m)`` is the space of every element of f(m), and a
+morphism target.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Combination, Value, bilinear
@@ -154,24 +153,6 @@ def standard_factorization(w: Sequence[int]) -> tuple:
     return res
 
 
-@lru_cache(maxsize=256)
-def _word_program(words: frozenset) -> tuple:
-    """(w, u, v) for each word w of length >= 2 that ``words`` need, w = uv
-    standard, each after those of u and v: a straight-line program."""
-    program: dict = {}
-
-    def visit(w):
-        if len(w) > 1 and w not in program:
-            u, v = standard_factorization(w)
-            visit(u)
-            visit(v)
-            program[w] = (w, u, v)
-
-    for w in sorted(words):
-        visit(w)
-    return tuple(program.values())
-
-
 def _bracket_words(u: tuple, v: tuple) -> dict:
     """[b(u), b(v)] as {lyndon word: int coefficient}.  u, v Lyndon."""
     if u == v:
@@ -202,7 +183,6 @@ def _bracket_words(u: tuple, v: tuple) -> dict:
 def clear_caches() -> None:
     _std_fact_cache.clear()
     _bracket_cache.clear()
-    _word_program.cache_clear()
 
 
 # -- elements ----------------------------------------------------------------

@@ -159,7 +159,7 @@ def ym_quotient_bound(A: MatrixData) -> int:
     ym(n): 4 when r + 2 >= m, otherwise 2(m - r)."""
     if A.rank + 2 >= A.m:
         return 4
-    return max(4, 2 * (A.m - A.rank))
+    return 2 * (A.m - A.rank)
 
 
 def realization_to_json(R: RealizationOfMatrix) -> dict:

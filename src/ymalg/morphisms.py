@@ -4,9 +4,9 @@ A GeneratorMorphism is fixed by images of the generators x_1..x_n in a
 target, anything with ``zero()`` and ``bracket(u, v)``: f(m)
 (``free_lie.FreeTarget``) or an algebra in ``targets``.
 Evaluation replaces each Lyndon basis word by its standard bracketing
-computed in the target, by ``free_lie``'s straight-line program of the
-words, and sums the word images on their Z[i] rows; a morphism factors
-through the (strong) Yang-Mills algebra iff all relation residuals vanish.
+computed in the target, memoized per morphism, and sums the word images on
+their Z[i] rows; a morphism factors through the (strong) Yang-Mills algebra
+iff all relation residuals vanish.
 ``pair_to_ym4_morphism`` is the one ym(4) pair map, for any target.
 
 The sl(2) case study of ym(3) is implemented twice on purpose: once through
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .free_lie import FreeLieElement, FreeTarget, _word_program
+from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Value, require_in
 from .scalars import I, ONE, ZERO, GaussianRational, from_ints, parse_scalar
 from .scalars import clear_denominators
@@ -56,13 +56,20 @@ class GeneratorMorphism:
             raise ValueError(
                 f"element uses {a.n} generators, morphism has {self.n}"
             )
-        memo, br = self._words, self.target.bracket
-        for w, u, v in _word_program(frozenset(a.row)):
-            if w not in memo:
-                memo[w] = br(memo[u], memo[v])
         return self.target.zero()._combine(
-            [(memo[w], z) for w, z in a.row.items()], a.den
+            [(self._image(w), z) for w, z in a.row.items()], a.den
         )
+
+    def _image(self, w):
+        # the image of Lyndon word w: on a miss, the bracket of the images of
+        # its standard factors, a recursion no deeper than the word
+        image = self._words.get(w)
+        if image is None:
+            u, v = standard_factorization(w)
+            image = self._words[w] = self.target.bracket(
+                self._image(u), self._image(v)
+            )
+        return image
 
     def relation_residuals(self, strong: bool = False) -> list:
         """Images of the Yang-Mills relators.
@@ -312,9 +319,9 @@ class AuditReport(NamedTuple):
     non_nilpotent_example: MorphismAnalysis
 
 
-def _rand_scalar(rng: random.Random, span: int = 3) -> GaussianRational:
-    a, p = rng.randint(-span, span), rng.choice((1, 1, 2))
-    b, q = rng.randint(-span, span), rng.choice((1, 1, 2))
+def _rand_scalar(rng: random.Random) -> GaussianRational:
+    a, p = rng.randint(-3, 3), rng.choice((1, 1, 2))
+    b, q = rng.randint(-3, 3), rng.choice((1, 1, 2))
     return from_ints(a * q, b * p, p * q)
 
 

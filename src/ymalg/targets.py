@@ -168,7 +168,8 @@ def sl_algebra(m: int) -> StructureConstantAlgebra:
 
     Brackets come from matrix commutators.  For m = 2 the classical basis
     (e, h, f) = (E^{12}, H_1, E^{21}) is exposed instead, with [h,e] = 2e,
-    [h,f] = -2f, [e,f] = h.
+    [h,f] = -2f, [e,f] = h.  Labels are E12 and H1 up to m = 9; from m = 10
+    on, where an index may have two digits, E^{ij} is E<i>_<j> (E1_2, E10_1).
     """
     if m < 2:
         raise ValueError("need m >= 2")

@@ -13,8 +13,7 @@ from oracle_utils import (
     rand_homogeneous,
     rand_scalar,
 )
-from ymalg import free_lie
-from ymalg.free_lie import FreeLieElement, bracket
+from ymalg.free_lie import DEFAULT_DEGREE_CAP, FreeLieElement, bracket
 from ymalg.morphisms import (
     FreeTarget,
     GeneratorMorphism,
@@ -150,8 +149,9 @@ class TestEvaluate:
             for j, lab in enumerate(("E12", "E23", "E31"), 1)
         }
         rng = random.Random(34)
-        for d in range(1, 6):
-            for _ in range(8):
+        # every degree up to the cap, the deepest word recursion included
+        for d in range(1, DEFAULT_DEGREE_CAP + 1):
+            for _ in range(8 if d <= 5 else 2):
                 a = rand_homogeneous(3, d, rng)
                 image = phi.evaluate(a)
                 assert oracle_sl_matrix(
@@ -195,12 +195,6 @@ class TestEvaluate:
         assert len(calls) == len(words(r1))
         assert phi.evaluate(r1 + r2) == expected[1]
         assert len(calls) == len(words(r1, r2)) > len(words(r1))
-
-    def test_clear_caches_empties_the_word_program(self):
-        yu_morphism().relation_residuals()
-        assert free_lie._word_program.cache_info().currsize > 0
-        free_lie.clear_caches()
-        assert free_lie._word_program.cache_info().currsize == 0
 
     def test_image_arity_checked(self):
         sl2 = sl_algebra(2)

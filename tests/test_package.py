@@ -3,7 +3,9 @@
 ``ymalg`` resolves its exports on first use, and each CLI subcommand
 imports only the library modules it runs.  The contract is read from
 ``sys.modules`` in fresh interpreters (``python -B``, so no bytecode is
-written); nothing here is timed.  The records are ``NamedTuple``s and the
+written), and each subcommand also runs in ``python -I -S -B``, with no
+site-packages, to show the library needs only the standard library;
+nothing here is timed.  The records are ``NamedTuple``s and the
 validated types small ``__slots__`` classes: all are immutable, and the
 latter compare by class and value."""
 
@@ -54,6 +56,10 @@ RUN = (
     "print(json.dumps([code, sorted(sys.modules)]))\n"
 )
 
+# -I ignores PYTHONPATH and -S skips site-packages, so src is put on the
+# path by hand (the first argument)
+ISOLATED = "import sys\nsys.path.insert(0, sys.argv.pop(1))\n" + RUN
+
 COMMANDS = {
     "dims": ("dims", "--n", "2", "--max-degree", "4"),
     "verify": ("verify", str(GOLDEN / "specs" / "yu_sl3.json")),
@@ -63,11 +69,11 @@ COMMANDS = {
 }
 
 
-def _python(code: str, *argv: str):
+def _python(code: str, *argv: str, flags=("-B",)):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -107,6 +113,15 @@ class TestImportContract:
         if "dataclasses" in _python("import json, sys\n" + MODULES):
             pytest.skip("the bare interpreter already loads dataclasses")
         assert "dataclasses" not in modules_after(command)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subcommand_needs_only_the_standard_library(self, command):
+        code, modules = _python(
+            ISOLATED, str(SRC), *COMMANDS[command], flags=("-I", "-S", "-B")
+        )
+        assert code == 0
+        top = {m.partition(".")[0] for m in modules}
+        assert top - {"ymalg", "__main__"} <= sys.stdlib_module_names
 
 
 class TestLazyPackage:
