@@ -13,10 +13,17 @@ The sl(2) case study of ym(3) is implemented twice on purpose: once through
 closed-form conditions in the branch parameters, evaluated over Z[i] after
 clearing the parameters to one denominator, once by direct residual
 evaluation, so the two code paths can be checked against each other exactly.
+Its sample loops (the oracle comparison and the solvable-image audit) split
+``range(samples)`` into contiguous chunks, one per usable CPU, and run every
+chunk but the first in a forked worker (``_split_samples``).  Each sample
+seeds its own generator, so the results do not depend on the CPU count; the
+loop runs in-process where ``os.fork`` is missing or other threads run.
 """
 
 from __future__ import annotations
 
+import _thread
+import os
 import random
 from typing import NamedTuple, Sequence
 
@@ -368,27 +375,103 @@ def sample_case_parameters(rng: random.Random, branch: str) -> Sl2CaseParameters
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_samples(work, samples: int) -> list:
+    """``[work(chunk) for chunk in chunks]`` over contiguous chunks of
+    ``range(samples)``, one per usable CPU.  Chunk 0 runs here, each other
+    one in a forked worker that pickles back its result, or the exception
+    it raised, which is raised here.  Where ``os.fork`` is missing or
+    another thread runs (a fork can deadlock it, and Python 3.12+ warns),
+    there is one chunk and no worker."""
+    import pickle
+
+    count = 1
+    if hasattr(os, "fork") and not _thread._count():
+        count = max(1, min(samples, _usable_cpus()))
+    cuts = [samples * c // count for c in range(count + 1)]
+    chunks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    workers = []  # (pid, the read end of its pipe) per chunk past the first
+    try:
+        for chunk in chunks[1:]:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _run_worker(work, chunk, wfd)
+            os.close(wfd)
+            workers.append((pid, open(rfd, "rb")))
+        results = [work(chunks[0])]
+        replies = [pipe.read() for _, pipe in workers]
+    finally:
+        # each worker ends once its chunk is done, also after an error here
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+    for reply in replies:
+        if not reply:
+            raise RuntimeError("a sample worker ended without a result")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_worker(work, chunk, wfd: int):
+    """The forked side of ``_split_samples``.  It never returns into the
+    caller's stack: ``os._exit`` skips every inherited buffer and handler."""
+    status = 1
+    try:
+        import pickle
+
+        try:
+            reply = pickle.dumps((True, work(chunk)))
+        except BaseException as exc:  # raised again in the parent
+            reply = pickle.dumps((False, exc))
+        with open(wfd, "wb") as out:
+            out.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def case_oracle_mismatches(samples: int, seed: int, branch: str) -> int:
     """Count disagreements between the closed-form conditions and direct
     residual evaluation over ``samples`` seeded parameter draws."""
-    mismatches = 0
-    for k in range(samples):
-        rng = random.Random(f"{seed}:{branch}:{k}")
-        p = sample_case_parameters(rng, branch)
-        closed = sl2_case_residual(p).all_zero
-        direct = assemble_sl2_morphism(p).residuals_vanish()
-        if closed != direct:
-            mismatches += 1
-    return mismatches
+
+    def mismatches(ks):
+        count = 0
+        for k in ks:
+            rng = random.Random(f"{seed}:{branch}:{k}")
+            p = sample_case_parameters(rng, branch)
+            closed = sl2_case_residual(p).all_zero
+            direct = assemble_sl2_morphism(p).residuals_vanish()
+            if closed != direct:
+                count += 1
+        return count
+
+    return sum(_split_samples(mismatches, samples))
 
 
-def _audit_candidates(samples: int, seed: int):
-    """The audit's candidate morphisms, drawn one at a time: the
-    non-nilpotent example, the zero map, then one per sample."""
+def _numbered_candidates(seed: int, ks: range):
+    """(index, morphism) for the audit's candidates k + 2 over samples k in
+    ``ks``, each drawn from its own seeded generator; with sample 0 come
+    candidates 0 and 1, the non-nilpotent example and the zero map."""
     sl2 = sl_algebra(2)
-    yield solvable_non_nilpotent_example()
-    yield GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
-    for k in range(samples):
+    if ks.start == 0:
+        yield 0, solvable_non_nilpotent_example()
+        yield 1, GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
+    for k in ks:
         rng = random.Random(f"{seed}:audit:{k}")
         branch = rng.choice(_BRANCHES)
         mode = rng.randrange(3)
@@ -404,7 +487,13 @@ def _audit_candidates(samples: int, seed: int):
                 # scaled images scale the residuals by lam cubed: zero stays zero
                 lam = _rand_scalar(rng)
                 images = [img * lam for img in images]
-        yield GeneratorMorphism(3, sl2, images)
+        yield k + 2, GeneratorMorphism(3, sl2, images)
+
+
+def _audit_candidates(samples: int, seed: int):
+    """The audit's candidate morphisms, drawn one at a time: the
+    non-nilpotent example, the zero map, then one per sample."""
+    return (phi for _, phi in _numbered_candidates(seed, range(samples)))
 
 
 def solvable_image_audit(samples: int, seed: int) -> AuditReport:
@@ -413,22 +502,28 @@ def solvable_image_audit(samples: int, seed: int) -> AuditReport:
     candidate with vanishing residuals, check that the image is solvable."""
     if samples < 1:
         raise ValueError("need samples >= 1")
-    # only residual-zero candidates need their image analysed; candidate 0,
-    # the non-nilpotent example, is one of them
-    images, violations = [], []
-    for idx, phi in enumerate(_audit_candidates(samples, seed)):
-        if phi.residuals_vanish():
-            images.append(analyze_image(phi.target, phi.images))
-            if not images[-1].is_solvable:
-                violations.append(f"candidate {idx}: {phi!r}")
-    example = images[0]
+
+    def audit(ks):
+        # only residual-zero candidates need their image analysed; in
+        # chunk 0 the first of them is candidate 0, the non-nilpotent example
+        images, violations = [], []
+        for idx, phi in _numbered_candidates(seed, ks):
+            if phi.residuals_vanish():
+                images.append(analyze_image(phi.target, phi.images))
+                if not images[-1].is_solvable:
+                    violations.append(f"candidate {idx}: {phi!r}")
+        return len(images), violations, images[:1]
+
+    chunks = _split_samples(audit, samples)
+    residual_zero = sum(count for count, _, _ in chunks)
+    example = chunks[0][2][0]
     return AuditReport(
         samples=samples,
         seed=seed,
-        candidates=idx + 1,
-        residual_zero=len(images),
-        non_residual_zero=idx + 1 - len(images),
-        solvable_violations=tuple(violations),
+        candidates=samples + 2,
+        residual_zero=residual_zero,
+        non_residual_zero=samples + 2 - residual_zero,
+        solvable_violations=tuple(v for _, found, _ in chunks for v in found),
         non_nilpotent_example=MorphismAnalysis(
             True, example.image_dim, example.is_solvable, example.is_nilpotent
         ),

@@ -105,6 +105,15 @@ def test_golden_stdout(name):
         assert stdout == fh.read()
 
 
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_case_study_golden_at_every_chunk_count(chunks, monkeypatch):
+    # the sample loops cut range(samples) into one chunk per usable CPU
+    from ymalg import morphisms
+
+    monkeypatch.setattr(morphisms, "_usable_cpus", lambda: chunks)
+    test_golden_stdout("case_study")
+
+
 def capture() -> None:
     os.makedirs(os.path.join(GOLDEN_DIR, "stdout"), exist_ok=True)
     manifest = {}

@@ -21,6 +21,7 @@ from oracle_utils import (
 )
 from ymalg.free_lie import FreeLieElement, _bracket_words, bracket, lyndon_basis
 from ymalg.linalg import Combination, Echelon, Subspace, rank, row_bilinear
+import ymalg.morphisms as morphisms
 from ymalg.morphisms import solvable_image_audit
 from ymalg.scalars import GaussianRational as GR, clear_denominators
 from ymalg.targets import (
@@ -276,6 +277,8 @@ def test_library_never_builds_reduced_basis(monkeypatch):
     """Ideal closure, subalgebra closure with its series, and the Witt
     window read echelon rows; none builds the canonical reduced basis."""
     gens = [witt_e(-1) + witt_e(2), witt_e(3)]
+    # the audit's second chunk runs in a forked worker on any host
+    monkeypatch.setattr(morphisms, "_usable_cpus", lambda: 2)
 
     def run():
         _ideal_component.cache_clear()

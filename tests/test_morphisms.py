@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,14 @@ from oracle_utils import (
     rand_scalar,
 )
 from ymalg.free_lie import DEFAULT_DEGREE_CAP, FreeLieElement, bracket
+import ymalg.morphisms as morphisms
 from ymalg.morphisms import (
     FreeTarget,
     GeneratorMorphism,
+    Sl2CaseConditions,
     Sl2CaseParameters,
     _audit_candidates,
+    _split_samples,
     analyze_sl2_morphism,
     assemble_sl2_morphism,
     case_oracle_mismatches,
@@ -37,6 +42,7 @@ from ymalg.targets import (
     ImageAnalysis,
     StructureConstantAlgebra,
     WittTarget,
+    analyze_image,
     sl_algebra,
     subalgebra_closure,
     witt_e,
@@ -139,21 +145,23 @@ class TestEvaluate:
         assert len(calls) == 9
 
     def test_word_program_matches_the_matrix_oracle(self):
-        # each Lyndon word's standard bracketing of E12, E23, E31, as 3x3
-        # matrices multiplied out without the library
-        phi = yu_morphism()
-        sl3 = phi.target
-        one = (Fraction(1), Fraction(0))
-        gens = {
-            j: oracle_sl_matrix({lab: one})
-            for j, lab in enumerate(("E12", "E23", "E31"), 1)
-        }
+        # each Lyndon word's standard bracketing of three random elements
+        # of sl(3), as 3x3 matrices multiplied out without the library
+        sl3 = sl_algebra(3)
         rng = random.Random(34)
-        # every degree up to the cap, the deepest word recursion included
+        coords = [{lab: rand_scalar(rng) for lab in sl3.labels} for _ in range(3)]
+        phi = GeneratorMorphism(3, sl3, [sl3.element(c) for c in coords])
+        gens = {
+            j: oracle_sl_matrix({lab: (c.re, c.im) for lab, c in cj.items()})
+            for j, cj in enumerate(coords, 1)
+        }
+        # every degree up to the cap, the deepest word recursion included;
+        # unlike E12, E23, E31, random images keep the deep brackets nonzero
         for d in range(1, DEFAULT_DEGREE_CAP + 1):
             for _ in range(8 if d <= 5 else 2):
                 a = rand_homogeneous(3, d, rng)
                 image = phi.evaluate(a)
+                assert not image.is_zero
                 assert oracle_sl_matrix(
                     {sl3.labels[k]: (c.re, c.im) for k, c in image.terms.items()}
                 ) == oracle_matrix_evaluate(
@@ -501,8 +509,6 @@ class TestAudit:
     def test_audit_reports_each_violation(self, monkeypatch):
         # no image is really non-solvable, so a stub reports every
         # residual-zero candidate as one; each is named by index and images
-        import ymalg.morphisms as morphisms
-
         stub = ImageAnalysis(0, False, False, False)
         monkeypatch.setattr(morphisms, "analyze_image", lambda alg, gens: stub)
         report = solvable_image_audit(30, 5)
@@ -547,6 +553,134 @@ class TestAudit:
         monkeypatch.setattr(GeneratorMorphism, "__init__", counted)
         assert sum(1 for _ in _audit_candidates(300, seed)) == 302
         assert len(built) == 302
+
+
+def fake_cpus(monkeypatch, count):
+    """Fake ``count`` usable CPUs, which is the sample loops' chunk count up
+    to the sample count."""
+    monkeypatch.setattr(morphisms, "_usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made during the test, by the pid that made each."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+_BOTH = ("nilpotent", "semisimple")
+
+
+class TestSplitSamples:
+    """The sample loops run each chunk of ``range(samples)`` but the first
+    in a forked worker; nothing they return may depend on the cut."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 30])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_results_do_not_depend_on_the_chunk_count(
+        self, forks, monkeypatch, samples, seed
+    ):
+        results = []
+        for count in (1, 2, 3):
+            fake_cpus(monkeypatch, count)
+            before = len(forks)
+            results.append((
+                solvable_image_audit(samples, seed),
+                [case_oracle_mismatches(samples, seed, b) for b in _BOTH],
+            ))
+            # one worker per chunk past the first, in each of the three loops
+            assert len(forks) - before == 3 * (min(count, samples) - 1)
+        assert results[1] == results[0] == results[2]
+
+    def test_violations_and_mismatches_cross_chunks(self, forks, monkeypatch):
+        # a stub reports every residual-zero candidate as a violation, and
+        # closed forms that always vanish make every nonzero residual a
+        # mismatch, so each chunk has some of both
+        stub = ImageAnalysis(0, False, False, False)
+        monkeypatch.setattr(morphisms, "analyze_image", lambda alg, gens: stub)
+        always_zero = Sl2CaseConditions((), ())
+        monkeypatch.setattr(morphisms, "sl2_case_residual", lambda p: always_zero)
+        results = []
+        for count in (1, 2, 3):
+            fake_cpus(monkeypatch, count)
+            results.append((
+                solvable_image_audit(30, 5),
+                [case_oracle_mismatches(30, 5, b) for b in _BOTH],
+            ))
+        assert results[1] == results[0] == results[2]
+        report, mismatches = results[0]
+        assert min(mismatches) > 0
+        assert report.candidates == 32
+        assert len(report.solvable_violations) == report.residual_zero
+        indices = [int(v.split()[1][:-1]) for v in report.solvable_violations]
+        assert indices == sorted(set(indices))
+        # candidates 0 and 1 come first, and the last third has violations
+        assert indices[:2] == [0, 1] and indices[-1] >= 22
+
+    def test_no_worker_outlives_a_call(self, forks, monkeypatch):
+        fake_cpus(monkeypatch, 3)
+        solvable_image_audit(30, 1)
+        case_oracle_mismatches(30, 1, "nilpotent")
+        assert len(forks) == 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exception_reaches_the_caller(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def analyze(alg, gens):
+            if os.getpid() != parent:
+                raise AssertionError("raised in a worker")
+            return analyze_image(alg, gens)
+
+        monkeypatch.setattr(morphisms, "analyze_image", analyze)
+        fake_cpus(monkeypatch, 2)
+        with pytest.raises(AssertionError, match="raised in a worker"):
+            solvable_image_audit(30, 1)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_without_a_result(self, monkeypatch):
+        def work(ks):
+            if ks.start:
+                os._exit(3)
+            return 0
+
+        fake_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="without a result"):
+            _split_samples(work, 4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_in_process_without_fork(self, monkeypatch):
+        fake_cpus(monkeypatch, 3)
+        expected = solvable_image_audit(30, 2)
+        monkeypatch.delattr(os, "fork")
+        assert solvable_image_audit(30, 2) == expected
+
+    def test_in_process_while_another_thread_runs(self, forks, monkeypatch):
+        # forking a threaded process is what Python 3.12+ warns about
+        fake_cpus(monkeypatch, 3)
+        expected = solvable_image_audit(30, 2)
+        assert len(forks) == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert solvable_image_audit(30, 2) == expected
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == 2
 
 
 class TestResidualEvaluation:
