@@ -12,7 +12,8 @@ Every bracket is ``row_bilinear`` over a target's one integer rule for a
 pair of basis keys: its bracket times one nonzero constant (12 for
 Virasoro, the lcm of a constant table's denominators).  Every closure
 brackets stored rows (``Echelon.rows``, never changed) in the one loop
-``Echelon.insert_brackets``, whose span the constant leaves the same;
+``Echelon.insert_brackets``, whose span the constant leaves the same; it
+skips a bracket whose keys all lie in ``units``, a zero one too.
 ``bilinear(space, u, v, pair, scale)`` brackets two elements' rows, and
 is the one space test of every element bracket.
 
@@ -107,18 +108,12 @@ class Echelon:
         return True
 
     def insert_brackets(self, pairs: Iterable, rule) -> None:
-        """Insert ``row_bilinear(a, b, rule)`` for each pair of rows, in
-        order, with one ``rule`` call for two single-entry rows, which are
-        skipped if it lands in ``units``: their bracket is in the span."""
+        """Insert ``row_bilinear(a, b, rule)`` for each pair of rows, in order,
+        unless its keys all lie in ``units`` (zero too): it is in the span."""
         units = self.units
         for a, b in pairs:
-            if len(a) != 1 or len(b) != 1:
-                self.insert(row_bilinear(a, b, rule))
-            elif not (r := rule(*a, *b)).keys() <= units:
-                z = _gmul(*a.values(), *b.values())
-                self.insert({
-                    k: _gmul(z, (x, 0) if type(x) is int else x) for k, x in r.items()
-                })
+            if not (r := row_bilinear(a, b, rule)).keys() <= units:
+                self.insert(r)
 
     def contains(self, row: Mapping) -> bool:
         return not self._reduce(row)

@@ -13,8 +13,8 @@ here also build elements, ``basis_element(label)`` and
 rule for a pair of basis keys, its bracket times a constant (the lcm of a
 constant table's denominators, 12 for Virasoro), and every bracket, of
 echelon rows or of elements, is ``linalg.row_bilinear`` over it.  The Witt
-window closure is graded (``_witt_degree``): it never pairs e_k with e_l
-when k + l != 0 is a spanned unit column, a pair the unit skip would drop.
+window closure is graded (``_witt_degree``): it never pairs rows of degree
+k and l if k + l != 0 is a spanned unit column, a pair the unit skip drops.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -304,18 +304,19 @@ def _bracket_closure(
     brackets of two older rows are already in the span.
 
     ``degree(row)`` is a homogeneous row's degree, None if it has none.  A
-    row of nonzero degree p skips rows of nonzero degree q with p + q != 0
-    in ``units``: under the Witt grading both are single entries, a pair
-    ``insert_brackets`` would skip anyway (units only grow)."""
+    row of degree p skips rows of degree q (0 too) with p + q != 0 in
+    ``units``: homogeneous rows bracket into degree p + q, which in Witt and
+    Virasoro is spanned by e_{p+q} alone, so ``insert_brackets`` would skip
+    the bracket anyway (units only grow)."""
     done = 0  # rows bracketed in earlier rounds
     ech = space.echelon
     units, degrees = ech.units, []
 
     def partners(rows, i):  # the rows before row i whose bracket may be new
-        if not (p := degrees[i]):
+        if (p := degrees[i]) is None:
             return rows[:i]
         older = zip(rows[:i], degrees)
-        return [b for b, q in older if not (q and p + q and p + q in units)]
+        return [b for b, q in older if q is None or not (p + q and p + q in units)]
 
     while rounds is None or rounds > 0:
         rows = ech.rows()

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracle_utils import (
     SL2_SCALED,
@@ -186,31 +186,42 @@ def _zi_rule(i, j):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(zi_rows, max_size=6), st.lists(zi_rows, max_size=6))
+@example(
+    # units 1, 3 and 5: of the two-entry rows, [rows[0], rows[1]] is
+    # {1: 1, 3: 2, 5: 1}, on the units, and [rows[2], rows[2]] is zero
+    spanned=[{1: (1, 0)}, {3: (1, 0)}, {5: (1, 0)}],
+    rows=[{0: (1, 0), 2: (1, 0)}, {1: (1, 0), 3: (1, 0)}, {1: (1, 0), 2: (1, 0)}],
+)
 def test_insert_brackets_calls_the_rule_once_per_unit_pair(spanned, rows):
-    # against the loop that tests the skip with one rule call and inserts
-    # row_bilinear with more: the same rows, in the same order, and one rule
-    # call for each pair of single-entry rows
+    # against the loop that inserts every bracket: the same rows, in the
+    # same order; one insert for each bracket with a key outside the units
+    # (which grow alike in both), and one rule call per pair of entries
     pairs = [(a, b) for a in rows for b in rows]
     ref, ech = Echelon(), Echelon()
     for row in spanned:
         ref.insert(row)
         ech.insert(row)
+    new = 0
     for a, b in pairs:
-        if len(a) == len(b) == 1 and _zi_rule(*a, *b).keys() <= ref.units:
-            continue
-        ref.insert(row_bilinear(a, b, _zi_rule))
-    calls = []
+        bracket = row_bilinear(a, b, _zi_rule)
+        new += not bracket.keys() <= ref.units
+        ref.insert(bracket)
+    calls, inserts, insert = [], [], Echelon.insert
 
     def counted(i, j):
         calls.append((i, j))
         return _zi_rule(i, j)
 
+    def counted_insert(row):
+        inserts.append(row)
+        return insert(ech, row)
+
+    ech.insert = counted_insert
     ech.insert_brackets(pairs, counted)
     assert ech.rows() == ref.rows()
     assert [list(r) for r in ech.rows()] == [list(r) for r in ref.rows()]
-    assert len(calls) == sum(
-        1 if len(a) == len(b) == 1 else len(a) * len(b) for a, b in pairs
-    )
+    assert len(inserts) == new
+    assert len(calls) == sum(len(a) * len(b) for a, b in pairs)
 
 
 class TestSubspace:

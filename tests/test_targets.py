@@ -565,14 +565,12 @@ class TestClosureOracle:
                 done = len(rows)
             assert ungraded[0] == ech.rows()
 
-    @pytest.mark.parametrize(
-        "virasoro, most", [(False, 2), (True, 2.5)], ids=["witt", "virasoro"]
-    )
-    def test_window_rule_calls(self, monkeypatch, virasoro, most):
-        # the graded closure calls the rule about twice per spanned row: a
-        # pair whose degree is a spanned unit column is dropped before the
-        # call (1,953 Witt and 2,016 Virasoro calls without the grading;
-        # 199 and 262 with it)
+    @pytest.mark.parametrize("virasoro", [False, True], ids=["witt", "virasoro"])
+    def test_window_rule_calls(self, monkeypatch, virasoro):
+        # the graded closure calls the rule about once per spanned row: a
+        # pair whose degree is a spanned unit column, e_0 included, is
+        # dropped before the call (1,953 Witt and 2,016 Virasoro calls
+        # without the grading; 137 and 138 with it)
         calls = []
         for name in ("_witt_pair", "_virasoro_row_pair"):
             rule = getattr(targets, name)
@@ -586,7 +584,24 @@ class TestClosureOracle:
             WittTarget(virasoro), [witt_e(-2), witt_e(3)], 8, 10
         )
         assert report.span_dim == (124 if virasoro else 123)
-        assert len(calls) <= most * report.span_dim
+        assert len(calls) <= 1.25 * report.span_dim
+
+    @pytest.mark.parametrize("virasoro", [False, True], ids=["witt", "virasoro"])
+    def test_window_inserts_are_accepted(self, monkeypatch, virasoro):
+        # the bracket of e_p with the two-entry degree-0 row is -p a e_p,
+        # dropped once e_p is spanned: every insert of the closure (the
+        # generators, one new row) and of the window's projection adds a row
+        accepted, insert = [], Echelon.insert
+
+        def counted(ech, row):
+            accepted.append(insert(ech, row))
+            return accepted[-1]
+
+        monkeypatch.setattr(Echelon, "insert", counted)
+        gens = [WittElement(g) for g in self.WITT_GENS[-1]]
+        report = generated_window(WittTarget(virasoro), gens, 8, 10)
+        assert report.span_dim == 4
+        assert accepted == [True] * 8
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_subalgebra_closure_dim(self, m):
