@@ -8,7 +8,9 @@ reason).  Exit codes: 0 = verified/clean, 1 = mathematical failure
 
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those (``dims`` never loads ``targets``, ``realization``
-never loads ``free_lie``).
+never loads ``free_lie``).  No subcommand loads OpenSSL or ``decimal``:
+``inputs_digest`` comes from the interpreter's builtin sha256, and scalars
+parse and render on their ints without ``fractions``.
 
 ``pair`` elements are sums of ``target.element`` terms, ``dims`` tables are a
 view of ``ym_graded_dims``, and a library ValueError or KeyError reaches
@@ -165,9 +167,16 @@ def morphism_from_json(data) -> GeneratorMorphism:
 
 
 def _digest(payload: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(payload).hexdigest()
+    # the interpreter's builtin sha256 first, as ``random`` takes its sha512:
+    # hashlib loads OpenSSL's libcrypto, about 3 ms and 3.7 MB per process
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(payload).hexdigest()
 
 
 def _args_digest(args, *names) -> str:

@@ -63,9 +63,13 @@ def is_generalized_cartan(A: MatrixData) -> GcmCheck:
             return GcmCheck(
                 False, f"diagonal entry ({i+1},{i+1}) = {A.entries[i][i]} is not 2"
             )
+    # every entry is now a rational integer n, whose Z[i] pair is (n, 0)
+    values = clear_denominators(
+        {(i, j): a for i, row in enumerate(A.entries) for j, a in enumerate(row)}
+    )[0]
     for i in range(A.m):
         for j in range(A.m):
-            if i != j and A.entries[i][j].re > 0:
+            if i != j and values.get((i, j), (0, 0))[0] > 0:
                 return GcmCheck(
                     False,
                     f"off-diagonal entry ({i+1},{j+1}) = {A.entries[i][j]} is positive",

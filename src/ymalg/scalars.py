@@ -13,6 +13,12 @@ values are formed only at the edges (input, rendering, the case study's
 closed forms).  Outside coefficients (of terms, constants, matrices)
 enter through :func:`parse_scalar`; ``ZERO``, ``ONE`` and ``I`` are shared.
 
+Parsing and rendering work on the ints alone.  ``Fraction`` is imported
+only at the API edge: by ``re`` and ``im``, by the hash of a non-integer
+real value, and by the constructor for a part that is neither an int nor
+a ``numbers.Rational`` (a str or a ``Decimal``).  So loading this module,
+and every CLI subcommand, loads neither ``fractions`` nor ``decimal``.
+
 Text grammar, used by the CLI and all JSON payloads: a rational renders as
 ``a/b`` with ``/b`` omitted when the denominator is 1; a nonzero imaginary
 part appends ``+c/d i`` or ``-c/d i`` with a unit coefficient elided.
@@ -22,38 +28,39 @@ Examples: ``"3/2"``, ``"-1+2i"``, ``"i"``, ``"0"``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from typing import Iterable, Mapping
 
 
 class GaussianRational:
     """An element ``(a + b*i) / d`` of Q(i) with arbitrary-precision ints.
 
-    The constructor takes the real and imaginary parts as ``int``s or
-    ``Fraction``s; a ``float`` or ``bool`` part raises TypeError.  ``re``
-    and ``im`` read them back as ``Fraction``s.
+    The constructor takes the real and imaginary parts as ``int``s,
+    ``Fraction``s or other ``numbers.Rational``s, or as anything
+    ``Fraction`` reads exactly (a str, a ``Decimal``); a ``float`` or
+    ``bool`` part raises TypeError.  ``re`` and ``im`` read them back as
+    ``Fraction``s.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        re = re if type(re) is Fraction else _exact(re)
-        im = im if type(im) is Fraction else _exact(im)
-        q, s = re.denominator, im.denominator
-        d = q * s // gcd(q, s)
+        p, q = _ratio(re)
+        s, t = _ratio(im)
+        d = q * t // gcd(q, t)
         # parts in lowest terms over their lcm already have gcd(a, b, d) == 1
-        self._a = re.numerator * (d // q)
-        self._b = im.numerator * (d // s)
+        self._a = p * (d // q)
+        self._b = s * (d // t)
         self._d = d
 
     @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+    def re(self):
+        return _fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def im(self):
+        return _fraction(self._b, self._d)
 
     # -- algebra ------------------------------------------------------------
 
@@ -76,7 +83,7 @@ class GaussianRational:
         return from_ints(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, Rational):
             return NotImplemented
         return -self + other
 
@@ -125,7 +132,7 @@ class GaussianRational:
         if self._b:
             return hash((self._a, self._b, self._d))
         # the hash of the equal int or Fraction
-        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash(self._a) if self._d == 1 else hash(_fraction(self._a, self._d))
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -144,19 +151,12 @@ class GaussianRational:
     # -- text ---------------------------------------------------------------
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            coeff = abs(self.im)
-            body = "i" if coeff == 1 else f"{coeff}i"
-            if parts:
-                parts.append(("+" if self.im > 0 else "-") + body)
-            else:
-                parts.append(body if self.im > 0 else "-" + body)
-        return "".join(parts)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _quotient_text(a, d)
+        body = "i" if abs(b) == d else _quotient_text(abs(b), d) + "i"
+        sign = "-" if b < 0 else "+" if a else ""
+        return (_quotient_text(a, d) if a else "") + sign + body
 
     __repr__ = __str__
 
@@ -194,17 +194,36 @@ def clear_denominators(values: Mapping) -> tuple:
     return out, lcm
 
 
-def _exact(part) -> Fraction:
+def _quotient_text(n: int, d: int) -> str:
+    """``n/d`` for ``d > 0`` in lowest terms, with ``/1`` left out."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _ratio(part) -> tuple:
+    """``(numerator, denominator)`` of a constructor part, in lowest terms."""
+    if type(part) is int:
+        return part, 1
     # a float part would bring a binary rounding error into Q(i)
     if isinstance(part, (float, bool)):
         raise TypeError(f"a part of a Q(i) scalar cannot be a {type(part).__name__}")
-    return Fraction(part)
+    if not isinstance(part, Rational):
+        part = _fraction(part)
+    return part.numerator, part.denominator
+
+
+def _fraction(*args):
+    """``Fraction(*args)``: the one place that loads ``fractions``, which
+    loads ``decimal``, so that no CLI subcommand does."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, Rational) and not isinstance(value, bool):
         return GaussianRational(value)
     return NotImplemented
 
@@ -220,34 +239,34 @@ _SCALAR_FULL = re.compile(
 _SCALAR_TERM = re.compile(rf"([+-]?)\s*({_TERM_BODY})")
 
 
-def _fraction(body: str, text) -> Fraction:
-    try:
-        return Fraction(body)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {text!r}") from None
-
-
 def parse_scalar(text) -> GaussianRational:
     """Parse the scalar grammar: "3/2", "-1+2i", "i", "0", "1/2-3/4i".  An
-    int or Fraction is taken as its value and a GaussianRational as it is;
-    any other non-text value (a float, a bool, an element) raises ValueError."""
-    if isinstance(text, GaussianRational):
-        return text
-    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return GaussianRational(text)
+    int or Fraction (any ``numbers.Rational``) is taken as its value and a
+    GaussianRational as it is; any other non-text value (a float, a bool,
+    an element) raises ValueError."""
+    coerced = _coerce(text)
+    if coerced is not NotImplemented:
+        return coerced
     if not isinstance(text, str) or not _SCALAR_FULL.fullmatch(text):
         raise ValueError(f"cannot parse scalar {text!r}")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+    # each part is summed in ints as an unreduced quotient, reduced once
+    re_n, re_d, im_n, im_d = 0, 1, 0, 1
     for sign, body in _SCALAR_TERM.findall(text):
-        factor = -1 if sign == "-" else 1
         body = body.replace(" ", "").replace("*", "")
-        if body.endswith("i"):
-            coeff = body[:-1]
-            im_part += factor * (_fraction(coeff, text) if coeff else 1)
+        imaginary = body.endswith("i")
+        if imaginary:
+            body = body[:-1] or "1"
+        num, _, den = body.partition("/")
+        p, q = int(num), int(den or 1)
+        if not q:
+            raise ValueError(f"zero denominator in scalar {text!r}")
+        if sign == "-":
+            p = -p
+        if imaginary:
+            im_n, im_d = im_n * q + p * im_d, im_d * q
         else:
-            re_part += factor * _fraction(body, text)
-    return GaussianRational(re_part, im_part)
+            re_n, re_d = re_n * q + p * re_d, re_d * q
+    return from_ints(re_n * im_d, im_n * re_d, re_d * im_d)
 
 
 def format_linear(pairs: Iterable, times: str = "*") -> str:

@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ymalg.cli import MAX_CUSTOM_DIM, MAX_SL_SIZE, MAX_WINDOW_DEPTH, main
+from ymalg.cli import MAX_CUSTOM_DIM, MAX_SL_SIZE, MAX_WINDOW_DEPTH, _digest, main
 
 CLI = [sys.executable, "-m", "ymalg.cli"]
 
@@ -842,3 +844,26 @@ class TestDeterminism:
         assert report["command"] == "ymalg case-study --samples 10 --seed 5"
         assert report["seed"] == 5
         assert report["inputs_digest"]
+
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+    def test_digest_is_sha256(self, monkeypatch, builtin):
+        # the oracle is hashlib as this process loaded it; ``_digest`` sees a
+        # recording stand-in, so each case shows which sha256 it used
+        used = []
+
+        def sha256(payload):
+            used.append(payload)
+            return hashlib.sha256(payload)
+
+        monkeypatch.setitem(sys.modules, "hashlib", types.SimpleNamespace(sha256=sha256))
+        if not builtin:
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        payloads = [
+            b"",
+            json.dumps({"a": "é∂", "sl(2)": ["i", "-1/2"]}, ensure_ascii=False).encode(),
+            (Path(__file__).parent / "golden" / "specs" / "yu_sl3.json").read_bytes(),
+        ]
+        for payload in payloads:
+            assert _digest(payload) == hashlib.sha256(payload).hexdigest()
+        assert used == ([] if builtin else payloads)

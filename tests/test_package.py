@@ -88,6 +88,17 @@ def modules_after(command: str) -> set:
     return set(modules)
 
 
+@lru_cache(maxsize=None)
+def isolated_modules(command: str) -> set:
+    """The same in ``python -I -S -B``: no site-packages, so no site hook
+    preloads a module."""
+    code, modules = _python(
+        ISOLATED, str(SRC), *COMMANDS[command], flags=("-I", "-S", "-B")
+    )
+    assert code == 0
+    return set(modules)
+
+
 def ymalg_modules(modules) -> set:
     return {m for m in modules if m == "ymalg" or m.startswith("ymalg.")}
 
@@ -115,12 +126,13 @@ class TestImportContract:
         assert "dataclasses" not in modules_after(command)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_subcommand_loads_openssl_or_decimal(self, command):
+        heavy = {"hashlib", "_hashlib", "_blake2", "fractions", "decimal", "_decimal"}
+        assert heavy & isolated_modules(command) == set()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_subcommand_needs_only_the_standard_library(self, command):
-        code, modules = _python(
-            ISOLATED, str(SRC), *COMMANDS[command], flags=("-I", "-S", "-B")
-        )
-        assert code == 0
-        top = {m.partition(".")[0] for m in modules}
+        top = {m.partition(".")[0] for m in isolated_modules(command)}
         assert top - {"ymalg", "__main__"} <= sys.stdlib_module_names
 
 

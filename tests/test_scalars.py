@@ -279,3 +279,46 @@ def test_traced_operators_and_fraction_constructor():
     assert (x._a, x._b, x._d) == (9, -2, 6)
     with pytest.raises(AttributeError):
         x.re = Fraction(1)
+
+
+# -- text against the Fraction renderer and Fraction parsing --------------------------
+
+huge_parts = st.one_of(
+    st.just(0),
+    st.integers(-(10**25), 10**25),
+    st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**12)),
+)
+
+
+@given(huge_parts, huge_parts)
+def test_rendering_matches_the_fraction_renderer(re, im):
+    # pair_str renders from Fractions alone, so it shares no code with the
+    # ints that __str__ and parse_scalar read
+    text = str(GaussianRational(re, im))
+    assert text == pair_str((Fraction(re), Fraction(im)))
+    assert parse_scalar(text) == GaussianRational(re, im)
+
+
+@pytest.mark.parametrize(
+    "text, re, im",
+    [
+        ("0/5", "0/5", "0"),
+        ("-0", "-0", "0"),
+        ("3/1", "3/1", "0"),
+        ("2/4", "2/4", "0"),
+        ("-2/4i", "0", "-2/4"),
+        ("007", "007", "0"),
+        ("1/2 + 6/4 * i - 2/8i", "1/2", "5/4"),
+    ],
+)
+def test_unreduced_texts_match_fraction_parsing(text, re, im):
+    want = (Fraction(re), Fraction(im))
+    got = parse_scalar(text)
+    assert (got.re, got.im) == want
+    assert str(got) == pair_str(want)
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/0i"])
+def test_zero_denominator_message(text):
+    with pytest.raises(ValueError, match=f"^zero denominator in scalar '{text}'$"):
+        parse_scalar(text)
