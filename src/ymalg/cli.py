@@ -270,6 +270,7 @@ def _cmd_verify(args, echo):
 
 def _cmd_case_study(args, echo):
     from .morphisms import case_oracle_mismatches, solvable_image_audit
+    from .morphisms import solvable_non_nilpotent_example
 
     if args.samples < 1:
         raise CliInputError("need --samples >= 1")
@@ -294,7 +295,7 @@ def _cmd_case_study(args, echo):
             "solvable_violations": list(audit.solvable_violations),
         },
         "non_nilpotent_example": {
-            "images": ["h", "e", "i*h"],
+            "images": [str(x) for x in solvable_non_nilpotent_example().images],
             "residuals_zero": example.residuals_zero,
             "solvable": example.is_solvable,
             "nilpotent": example.is_nilpotent,

@@ -13,11 +13,12 @@ The sl(2) case study of ym(3) is implemented twice on purpose: once through
 closed-form conditions in the branch parameters, evaluated over Z[i] after
 clearing the parameters to one denominator, once by direct residual
 evaluation, so the two code paths can be checked against each other exactly.
-Its sample loops (the oracle comparison and the solvable-image audit) split
-``range(samples)`` into contiguous chunks, one per usable CPU, and run every
-chunk but the first in a forked worker (``_split_samples``).  Each sample
-seeds its own generator, so the results do not depend on the CPU count; the
-loop runs in-process where ``os.fork`` is missing or other threads run.
+Its sample loops (the oracle comparison and the solvable-image audit) are
+each one function of the sample index, which ``_split_samples`` alone maps
+over ``range(samples)``: in contiguous chunks, one per usable CPU, each but
+the first in a forked worker, or in-process where ``os.fork`` is missing or
+other threads run.  Each sample seeds its own generator, so the results do
+not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -382,10 +383,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split_samples(work, samples: int) -> list:
-    """``[work(chunk) for chunk in chunks]`` over contiguous chunks of
+def _split_samples(sample, samples: int) -> list:
+    """``[sample(k) for k in range(samples)]`` over contiguous chunks of
     ``range(samples)``, one per usable CPU.  Chunk 0 runs here, each other
-    one in a forked worker that pickles back its result, or the exception
+    one in a forked worker that pickles back its results, or the exception
     it raised, which is raised here.  Where ``os.fork`` is missing or
     another thread runs (a fork can deadlock it, and Python 3.12+ warns),
     there is one chunk and no worker."""
@@ -407,10 +408,10 @@ def _split_samples(work, samples: int) -> list:
                 os.close(wfd)
                 raise
             if pid == 0:
-                _run_worker(work, chunk, wfd)
+                _run_worker(sample, chunk, wfd)
             os.close(wfd)
             workers.append((pid, open(rfd, "rb")))
-        results = [work(chunks[0])]
+        results = [sample(k) for k in chunks[0]]
         replies = [pipe.read() for _, pipe in workers]
     finally:
         # each worker ends once its chunk is done, also after an error here
@@ -423,11 +424,11 @@ def _split_samples(work, samples: int) -> list:
         ok, value = pickle.loads(reply)
         if not ok:
             raise value
-        results.append(value)
+        results += value
     return results
 
 
-def _run_worker(work, chunk, wfd: int):
+def _run_worker(sample, chunk, wfd: int):
     """The forked side of ``_split_samples``.  It never returns into the
     caller's stack: ``os._exit`` skips every inherited buffer and handler."""
     status = 1
@@ -435,7 +436,7 @@ def _run_worker(work, chunk, wfd: int):
         import pickle
 
         try:
-            reply = pickle.dumps((True, work(chunk)))
+            reply = pickle.dumps((True, [sample(k) for k in chunk]))
         except BaseException as exc:  # raised again in the parent
             reply = pickle.dumps((False, exc))
         with open(wfd, "wb") as out:
@@ -449,82 +450,69 @@ def case_oracle_mismatches(samples: int, seed: int, branch: str) -> int:
     """Count disagreements between the closed-form conditions and direct
     residual evaluation over ``samples`` seeded parameter draws."""
 
-    def mismatches(ks):
-        count = 0
-        for k in ks:
-            rng = random.Random(f"{seed}:{branch}:{k}")
-            p = sample_case_parameters(rng, branch)
-            closed = sl2_case_residual(p).all_zero
-            direct = assemble_sl2_morphism(p).residuals_vanish()
-            if closed != direct:
-                count += 1
-        return count
+    def mismatch(k):
+        p = sample_case_parameters(random.Random(f"{seed}:{branch}:{k}"), branch)
+        closed = sl2_case_residual(p).all_zero
+        return closed != assemble_sl2_morphism(p).residuals_vanish()
 
-    return sum(_split_samples(mismatches, samples))
+    return sum(_split_samples(mismatch, samples))
 
 
-def _numbered_candidates(seed: int, ks: range):
-    """(index, morphism) for the audit's candidates k + 2 over samples k in
-    ``ks``, each drawn from its own seeded generator; with sample 0 come
-    candidates 0 and 1, the non-nilpotent example and the zero map."""
+def _sampled_candidate(seed: int, k: int) -> GeneratorMorphism:
+    """The audit's candidate for sample k, drawn from its own seeded
+    generator."""
     sl2 = sl_algebra(2)
-    if ks.start == 0:
-        yield 0, solvable_non_nilpotent_example()
-        yield 1, GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
-    for k in ks:
-        rng = random.Random(f"{seed}:audit:{k}")
-        branch = rng.choice(_BRANCHES)
-        mode = rng.randrange(3)
-        if mode == 0:
-            # unconstrained random images (residuals almost surely nonzero)
-            images = [
-                sl2.element({lab: _rand_scalar(rng) for lab in ("e", "h", "f")})
-                for _ in range(3)
-            ]
-        else:
-            images = _sl2_case_images(sample_case_parameters(rng, branch))
-            if mode == 2:
-                # scaled images scale the residuals by lam cubed: zero stays zero
-                lam = _rand_scalar(rng)
-                images = [img * lam for img in images]
-        yield k + 2, GeneratorMorphism(3, sl2, images)
-
-
-def _audit_candidates(samples: int, seed: int):
-    """The audit's candidate morphisms, drawn one at a time: the
-    non-nilpotent example, the zero map, then one per sample."""
-    return (phi for _, phi in _numbered_candidates(seed, range(samples)))
+    rng = random.Random(f"{seed}:audit:{k}")
+    branch = rng.choice(_BRANCHES)
+    mode = rng.randrange(3)
+    if mode == 0:
+        # unconstrained random images (residuals almost surely nonzero)
+        images = [
+            sl2.element({lab: _rand_scalar(rng) for lab in ("e", "h", "f")})
+            for _ in range(3)
+        ]
+    else:
+        images = _sl2_case_images(sample_case_parameters(rng, branch))
+        if mode == 2:
+            # scaled images scale the residuals by lam cubed: zero stays zero
+            lam = _rand_scalar(rng)
+            images = [img * lam for img in images]
+    return GeneratorMorphism(3, sl2, images)
 
 
 def solvable_image_audit(samples: int, seed: int) -> AuditReport:
-    """Generate candidate morphisms ym(3) -> sl(2) (random images plus the
-    targeted residual-zero families and the non-nilpotent example); for every
-    candidate with vanishing residuals, check that the image is solvable."""
+    """Check candidate morphisms ym(3) -> sl(2): candidate 0 is the
+    non-nilpotent example, candidate 1 the zero map, and candidate k + 2
+    sample k's draw (random images plus the targeted residual-zero
+    families).  Every candidate with vanishing residuals must have
+    solvable image."""
     if samples < 1:
         raise ValueError("need samples >= 1")
 
-    def audit(ks):
-        # only residual-zero candidates need their image analysed; in
-        # chunk 0 the first of them is candidate 0, the non-nilpotent example
-        images, violations = [], []
-        for idx, phi in _numbered_candidates(seed, ks):
-            if phi.residuals_vanish():
-                images.append(analyze_image(phi.target, phi.images))
-                if not images[-1].is_solvable:
-                    violations.append(f"candidate {idx}: {phi!r}")
-        return len(images), violations, images[:1]
+    def check(idx, phi, image=None):
+        # None for a nonzero residual, else "" for a solvable image and the
+        # violation line otherwise; the image is analysed only when needed
+        if image is None:
+            if not phi.residuals_vanish():
+                return None
+            image = analyze_image(phi.target, phi.images)
+        return "" if image.is_solvable else f"candidate {idx}: {phi!r}"
 
-    chunks = _split_samples(audit, samples)
-    residual_zero = sum(count for count, _, _ in chunks)
-    example = chunks[0][2][0]
+    example = solvable_non_nilpotent_example()
+    found = analyze_sl2_morphism(example)
+    sl2 = example.target
+    checks = [
+        check(0, example, found) if found.residuals_zero else None,
+        check(1, GeneratorMorphism(3, sl2, [sl2.zero()] * 3)),
+        *_split_samples(lambda k: check(k + 2, _sampled_candidate(seed, k)), samples),
+    ]
+    residual_zero = sum(c is not None for c in checks)
     return AuditReport(
         samples=samples,
         seed=seed,
         candidates=samples + 2,
         residual_zero=residual_zero,
         non_residual_zero=samples + 2 - residual_zero,
-        solvable_violations=tuple(v for _, found, _ in chunks for v in found),
-        non_nilpotent_example=MorphismAnalysis(
-            True, example.image_dim, example.is_solvable, example.is_nilpotent
-        ),
+        solvable_violations=tuple(filter(None, checks)),
+        non_nilpotent_example=found,
     )

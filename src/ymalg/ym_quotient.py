@@ -192,14 +192,7 @@ def dims_table(
 
 
 def dims_table_csv(rows: list) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["degree", "free_dim", "ideal_dim", "ym_dim"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    columns = ("degree", "free_dim", "ideal_dim", "ym_dim")
+    lines = [",".join(columns)]
+    lines += [",".join(str(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"

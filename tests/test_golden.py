@@ -106,12 +106,13 @@ def test_golden_stdout(name):
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
-def test_case_study_golden_at_every_chunk_count(chunks, monkeypatch):
+@pytest.mark.parametrize("name", ["case_study", "case_study_nilpotent"])
+def test_case_study_golden_at_every_chunk_count(name, chunks, monkeypatch):
     # the sample loops cut range(samples) into one chunk per usable CPU
     from ymalg import morphisms
 
     monkeypatch.setattr(morphisms, "_usable_cpus", lambda: chunks)
-    test_golden_stdout("case_study")
+    test_golden_stdout(name)
 
 
 def capture() -> None:

@@ -22,7 +22,7 @@ from ymalg.morphisms import (
     GeneratorMorphism,
     Sl2CaseConditions,
     Sl2CaseParameters,
-    _audit_candidates,
+    _sampled_candidate,
     _split_samples,
     analyze_sl2_morphism,
     assemble_sl2_morphism,
@@ -483,6 +483,16 @@ class TestClosedForms:
         assert [sl2_case_residual(p) for p in params] == expected
 
 
+def audit_candidates(samples, seed):
+    """The audit's candidates in order: the non-nilpotent example, the zero
+    map, then one per sample."""
+    sl2 = sl_algebra(2)
+    yield solvable_non_nilpotent_example()
+    yield GeneratorMorphism(3, sl2, [sl2.zero()] * 3)
+    for k in range(samples):
+        yield _sampled_candidate(seed, k)
+
+
 class TestAudit:
     def test_non_nilpotent_example(self):
         analysis = analyze_sl2_morphism(solvable_non_nilpotent_example())
@@ -536,7 +546,7 @@ class TestAudit:
     ])
     def test_candidates_are_pinned(self, seed, digest):
         # the images and the order of the random draws behind them
-        text = "\n".join(repr(phi) for phi in _audit_candidates(300, seed))
+        text = "\n".join(repr(phi) for phi in audit_candidates(300, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [1, 7])
@@ -551,7 +561,12 @@ class TestAudit:
             original(self, *args)
 
         monkeypatch.setattr(GeneratorMorphism, "__init__", counted)
-        assert sum(1 for _ in _audit_candidates(300, seed)) == 302
+        assert sum(1 for _ in audit_candidates(300, seed)) == 302
+        assert len(built) == 302
+        # and the audit builds each of them once, in one process
+        built.clear()
+        fake_cpus(monkeypatch, 1)
+        assert solvable_image_audit(300, seed).candidates == 302
         assert len(built) == 302
 
 
@@ -648,15 +663,28 @@ class TestSplitSamples:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 7, 30])
+    def test_one_result_per_sample_in_order(self, forks, monkeypatch, samples):
+        def sample(k):
+            return f"{k}:{k * k}"
+
+        for count in (1, 2, 3):
+            fake_cpus(monkeypatch, count)
+            before = len(forks)
+            assert _split_samples(sample, samples) == [
+                sample(k) for k in range(samples)
+            ]
+            assert len(forks) - before == min(count, samples) - 1
+
     def test_worker_that_dies_without_a_result(self, monkeypatch):
-        def work(ks):
-            if ks.start:
+        def sample(k):
+            if k >= 2:
                 os._exit(3)
             return 0
 
         fake_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="without a result"):
-            _split_samples(work, 4)
+            _split_samples(sample, 4)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -736,7 +764,7 @@ class TestResidualEvaluation:
 
     @pytest.mark.parametrize("seed", [4, 9])
     def test_early_stop_changes_no_answer(self, seed):
-        for phi in _audit_candidates(60, seed):
+        for phi in audit_candidates(60, seed):
             for strong in (False, True):
                 residuals = phi.relation_residuals(strong)
                 assert phi.residuals_vanish(strong) == all(
