@@ -39,7 +39,7 @@ _SL_TARGET = re.compile(r"sl([0-9]+)|sl\(([0-9]+)\)")
 MAX_SL_SIZE = 12
 # a custom algebra is checked the same way: no larger than sl(MAX_SL_SIZE)
 MAX_CUSTOM_DIM = MAX_SL_SIZE**2 - 1
-# each Witt window round costs about 3x the last (depth 12: 0.06 s, 2 vCPUs)
+# each Witt window round costs about 2x the last (depth 12: 0.012 s, 2 vCPUs)
 MAX_WINDOW_DEPTH = 12
 
 

@@ -15,6 +15,10 @@ constant table's denominators, 12 for Virasoro), and every bracket, of
 echelon rows or of elements, is ``linalg.row_bilinear`` over it.  The Witt
 window closure is graded (``_witt_degree``): it never pairs rows of degree
 k and l if k + l != 0 is a spanned unit column, a pair the unit skip drops.
+A row of degree k finds the earlier rows it keeps, in index order, in an
+index of the rows by degree while the spanned unit degrees with 0 are one
+run lo..hi (two bisects for the degrees outside lo - k..hi - k), and by
+testing each earlier row while the run has holes.
 
 Generation in the infinite-dimensional algebras is only ever certified on a
 finite index window: reports carry the bracket depth and window bound used,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Mapping, NamedTuple, Sequence
@@ -292,9 +297,7 @@ def subalgebra_closure(
     return _bracket_closure(space, algebra._row_pair)
 
 
-def _bracket_closure(
-    space: Subspace, pair, rounds=None, degree=lambda row: None
-) -> Subspace:
+def _bracket_closure(space: Subspace, pair, rounds=None, degree=None) -> Subspace:
     """Add [S, S] to the span S, round after round, until it stops growing
     or ``rounds`` rounds (None: no limit) have run.
 
@@ -307,27 +310,84 @@ def _bracket_closure(
     row of degree p skips rows of degree q (0 too) with p + q != 0 in
     ``units``: homogeneous rows bracket into degree p + q, which in Witt and
     Virasoro is spanned by e_{p+q} alone, so ``insert_brackets`` would skip
-    the bracket anyway (units only grow)."""
+    the bracket anyway (units only grow).  Its partners, the earlier rows
+    it still brackets with, come in index order, so the closure inserts the
+    same rows in the same order as without ``degree``.  While the spanned
+    unit degrees with 0 form one run lo..hi, the partners are the rows of
+    no degree, of degree -p and of degree below lo - p or above hi - p,
+    read from an index of the earlier rows by degree (``_graded_partners``);
+    otherwise each earlier row is tested.  Without ``degree`` every earlier
+    row is a partner, and no index is built."""
     done = 0  # rows bracketed in earlier rounds
     ech = space.echelon
-    units, degrees = ech.units, []
-
-    def partners(rows, i):  # the rows before row i whose bracket may be new
-        if (p := degrees[i]) is None:
-            return rows[:i]
-        older = zip(rows[:i], degrees)
-        return [b for b, q in older if q is None or not (p + q and p + q in units)]
-
+    partners = _graded_partners(ech.units, degree) if degree else None
     while rounds is None or rounds > 0:
         rows = ech.rows()
-        degrees += map(degree, rows[len(degrees):])
-        pairs = (product((rows[i],), partners(rows, i)) for i in range(done, len(rows)))
+        pairs = (
+            product((rows[i],), partners(rows, i) if partners else rows[:i])
+            for i in range(done, len(rows))
+        )
         ech.insert_brackets(chain.from_iterable(pairs), pair)
         if space.dim == len(rows):
             break
         done = len(rows)
         rounds = None if rounds is None else rounds - 1
     return space
+
+
+def _graded_partners(units: set, degree):
+    """``partners(rows, i)``, the partners of row i in ``_bracket_closure``,
+    called for i = 0, 1, ... in turn, each after the brackets of row i - 1
+    are inserted.  The earlier rows are indexed by degree: the sorted
+    degrees, and each one's row indices.  The spanned unit degrees with 0
+    are kept as their least, greatest and number.  When ``units`` grew, the
+    new unit degrees are sought among the last row's nonzero partner degree
+    sums, none of them a unit when it was paired; the units are counted
+    again only if those do not account for the growth (after a row of no
+    degree, a bracket that reduced to another column, e_0 or c)."""
+    degrees: list = []  # of the rows before row i, None for no degree
+    by_degree: dict = {}  # degree (None too) -> the indices of its rows
+    keys: list = []  # the int degrees of by_degree, sorted
+    lo = hi = seen = 0  # the unit degrees are {0} while units is empty
+    count, last = 1, (None, ())  # the last row's degree and partner indices
+
+    def partners(rows, i):
+        nonlocal lo, hi, count, seen, last
+        if len(units) != seen:
+            p, found = last
+            new = p is not None and {
+                s
+                for j in found
+                if (q := degrees[j]) is not None and (s := p + q) and s in units
+            }
+            if not new or len(new) != len(units) - seen:  # count them again
+                lo = hi = count = 0
+                new = {0, *(k for k in units if type(k) is int)}
+            lo, hi, count = min(lo, *new), max(hi, *new), count + len(new)
+            seen = len(units)
+        if (p := degree(rows[i])) is None:
+            found = range(i)
+        elif hi - lo + 1 == count:  # the unit degrees are the run lo..hi
+            outside = keys[: bisect_left(keys, lo - p)]
+            outside += keys[bisect_right(keys, hi - p) :]
+            found = [j for q in outside for j in by_degree[q]]
+            found += by_degree.get(None, ())
+            found += by_degree.get(-p, ())
+            found.sort()
+        else:
+            found = [
+                j
+                for j, q in enumerate(degrees)
+                if q is None or not (p + q and p + q in units)
+            ]
+        last = p, found
+        degrees.append(p)
+        if p is not None and p not in by_degree:
+            insort(keys, p)
+        by_degree.setdefault(p, []).append(i)
+        return [rows[j] for j in found]
+
+    return partners
 
 
 def _bracket_span(
@@ -536,12 +596,14 @@ def generated_window(
     space = Subspace(target.zero(), gens)
     span = _bracket_closure(space, pair, depth - 1, _witt_degree)
     # project the span onto e_{-window}..e_{window} and c, then test the
-    # unit vector of each index the span reaches in the window
+    # unit vector of each index the span reaches in the window; a row with
+    # no key there projects to zero and is not inserted
     keys = sorted({k for row in span.echelon.rows() for k in row if abs(k) <= window})
     window_keys = {*keys, WITT_CENTRAL}
     restricted = Echelon()
     for row in span.echelon.rows():
-        restricted.insert({k: x for k, x in row.items() if k in window_keys})
+        if not window_keys.isdisjoint(row):
+            restricted.insert({k: x for k, x in row.items() if k in window_keys})
     return WindowReport(
         depth=depth,
         window=window,

@@ -479,13 +479,16 @@ class TestClosureOracle:
         # columns are spanned, beside rows with several entries (the skip
         # first fires at depth 4)
         ({-2: 1}, {0: 1, 3: "i"}),
+        # single entries whose spanned unit degrees keep holes, so the
+        # graded closure tests each earlier row instead of reading a run
+        ({-5: 1}, {7: 1}),
         # a homogeneous degree-0 row with two entries, which the graded
         # closure pairs with every row
         ({-2: 1}, {2: 1}, {0: 1, WITT_CENTRAL: "1/2"}),
     ]
-    # the deepest depth checked for each set: past 4 on the two where the
+    # the deepest depth checked for each set: past 4 on the three where the
     # skip fires most
-    WITT_DEPTHS = (4, 6, 4, 4, 4, 4, 5, 4)
+    WITT_DEPTHS = (4, 6, 4, 4, 4, 4, 5, 6, 4)
 
     @pytest.mark.parametrize("virasoro", [False, True])
     @pytest.mark.parametrize(
@@ -524,13 +527,20 @@ class TestClosureOracle:
 
     # generator sets on which the graded closure drops pairs, with the
     # rounds run: single entries; a two-entry row of degree 0, after the
-    # rows of nonzero degree and before them; c; a row of mixed degrees
+    # rows of nonzero degree and before them; c; a row of mixed degrees;
+    # single entries whose unit degrees keep holes (each earlier row is
+    # tested) and whose unit degrees are soon one long run (partners are
+    # read from the degree index); a row of mixed degrees whose brackets
+    # reduce to units that no degree sum of the last row's partners names
     GRADED_SETS = [
         (({-2: 1}, {3: 1}), 6),
         (({-2: 1}, {2: 1}, {0: 1, WITT_CENTRAL: "1/2"}), 4),
         (({0: 1, WITT_CENTRAL: "1/2"}, {-2: 1}, {3: 1}), 4),
         (({-5: 1}, {5: 1}, {WITT_CENTRAL: 1}), 4),
         (({-2: 1}, {0: 1, 3: "i"}), 4),
+        (({-5: 1}, {7: 1}), 5),
+        (({-2: 1}, {3: 1}), 8),
+        (({-1: 1}, {0: "i", 1: -1}, {3: 1}), 2),
     ]
 
     @pytest.mark.parametrize("virasoro", [False, True])
@@ -565,6 +575,55 @@ class TestClosureOracle:
                 done = len(rows)
             assert ungraded[0] == ech.rows()
 
+    @pytest.mark.parametrize("virasoro", [False, True])
+    def test_partners_are_the_kept_rows(self, monkeypatch, virasoro):
+        # the pairs of the graded closure, in order, against a closure that
+        # tests each earlier row of a row of degree p: it keeps the rows of
+        # no degree and those of degree q with p + q zero or not in units
+        pair = _virasoro_row_pair if virasoro else _witt_pair
+        pairs, insert_brackets = [], Echelon.insert_brackets
+
+        def recorded(ech, todo, rule):
+            # lazily: each row's partners are found after the pairs before
+            def record():
+                for ab in todo:
+                    pairs.append(ab)
+                    yield ab
+
+            insert_brackets(ech, record(), rule)
+
+        def reference(gens, rounds):
+            ech, done, kept, degrees = Echelon(), 0, [], []
+            for g in gens:
+                ech.insert(g.row)
+            for _ in range(rounds):
+                rows = ech.rows()
+                degrees += map(_witt_degree, rows[len(degrees):])
+                for i in range(done, len(rows)):
+                    p, units = degrees[i], ech.units
+                    row_pairs = [
+                        (rows[i], b)
+                        for b, q in zip(rows[:i], degrees)
+                        if p is None or q is None or not (p + q and p + q in units)
+                    ]
+                    kept += row_pairs
+                    for a, b in row_pairs:
+                        if not (r := row_bilinear(a, b, pair)).keys() <= units:
+                            ech.insert(r)
+                if ech.dim == len(rows):
+                    break
+                done = len(rows)
+            return kept
+
+        for gens, rounds in self.GRADED_SETS:
+            gens = [WittElement(g) for g in gens]
+            want, space = reference(gens, rounds), Subspace(WITT.zero(), gens)
+            with monkeypatch.context() as m:
+                m.setattr(Echelon, "insert_brackets", recorded)
+                pairs.clear()
+                _bracket_closure(space, pair, rounds, _witt_degree)
+            assert pairs == want
+
     @pytest.mark.parametrize("virasoro", [False, True], ids=["witt", "virasoro"])
     def test_window_rule_calls(self, monkeypatch, virasoro):
         # the graded closure calls the rule about once per spanned row: a
@@ -585,6 +644,33 @@ class TestClosureOracle:
         )
         assert report.span_dim == (124 if virasoro else 123)
         assert len(calls) <= 1.25 * report.span_dim
+
+    @pytest.mark.parametrize("virasoro", [False, True], ids=["witt", "virasoro"])
+    def test_window_unit_tests(self, monkeypatch, virasoro):
+        # the graded closure reads a row's partners from a degree index and
+        # the run of spanned unit degrees, and tests only the degree sums
+        # the last row's brackets could have made units: 285 Witt and 302
+        # Virasoro membership tests of ``units``, against 2,073 and 2,151
+        # when each earlier row is tested
+        tests = []
+
+        class Counted(set):
+            def __contains__(self, key):
+                tests.append(key)
+                return super().__contains__(key)
+
+        init = Echelon.__init__
+
+        def counted_init(ech):
+            init(ech)
+            ech.units = Counted()
+
+        monkeypatch.setattr(Echelon, "__init__", counted_init)
+        report = generated_window(
+            WittTarget(virasoro), [witt_e(-2), witt_e(3)], 8, 10
+        )
+        assert report.span_dim == (124 if virasoro else 123)
+        assert len(tests) <= 3 * report.span_dim
 
     @pytest.mark.parametrize("virasoro", [False, True], ids=["witt", "virasoro"])
     def test_window_inserts_are_accepted(self, monkeypatch, virasoro):
