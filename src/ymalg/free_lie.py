@@ -17,7 +17,7 @@ morphism target.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .linalg import Combination, Value, bilinear
 from .scalars import ONE, format_linear
@@ -193,9 +193,6 @@ class FreeTarget(Value):
     target."""
 
     __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        self._set(m)
 
     def zero(self) -> "FreeLieElement":
         return FreeLieElement.zero(self.m)

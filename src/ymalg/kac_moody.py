@@ -9,18 +9,16 @@ out of scope; only the finite realization is built.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
-from .linalg import Echelon, rank
+from .linalg import Echelon, Value, rank
 from .scalars import ONE, ZERO, clear_denominators, parse_scalar
 
 
-class MatrixData(NamedTuple):
+class MatrixData(Value):
     """A square matrix over Q(i) together with its exact rank."""
 
-    m: int
-    entries: tuple
-    rank: int
+    __slots__ = ("m", "entries", "rank")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixData":
@@ -45,9 +43,8 @@ class MatrixData(NamedTuple):
         return cls.from_rows(data)
 
 
-class GcmCheck(NamedTuple):
-    ok: bool
-    reason: str | None = None
+class GcmCheck(Value):
+    __slots__ = ("ok", "reason")
 
 
 def is_generalized_cartan(A: MatrixData) -> GcmCheck:
@@ -84,14 +81,12 @@ def is_generalized_cartan(A: MatrixData) -> GcmCheck:
     return GcmCheck(True, None)
 
 
-class RealizationOfMatrix(NamedTuple):
+class RealizationOfMatrix(Value):
     """A realization of an m x m matrix: roots as rows of ``pi`` (coordinates
     on h*), coroots as rows of ``pi_check`` (coordinates on h), with
     dim h = 2m - r and pairing <alpha_i-check, alpha_j> = a_ij exactly."""
 
-    h_dim: int
-    pi: tuple
-    pi_check: tuple
+    __slots__ = ("h_dim", "pi", "pi_check")
 
 
 def build_realization(A: MatrixData) -> RealizationOfMatrix:

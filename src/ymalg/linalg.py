@@ -25,14 +25,15 @@ Z[i] row over one denominator, so its arithmetic is integer work: ``+``,
 ``-``, negation and scalar ``*`` are one pass over rows (``_combine``), and
 ``_like`` reduces once, its gcd stopping at 1; Q(i) ``terms`` render it.
 ``Subspace`` wraps an Echelon around a span in one space: ideal components,
-subalgebra closures, series terms and Witt windows.  ``Value`` is the base
-of the small immutable types with value equality, such as the spaces.
+subalgebra closures, series terms and Witt windows.  ``Value`` is the one
+immutable type with value equality: the spaces and validated inputs, and
+every record a computation reports, built by position or by name.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .scalars import clear_denominators, from_ints, parse_scalar
 
@@ -196,15 +197,30 @@ def bilinear(space, u, v, pair, scale: int):
 
 
 class Value:
-    """An immutable value whose fields are its ``__slots__``: ``__init__``
-    sets them once through ``_set``; equal to an instance of the same class
-    with equal fields, hashed by the fields, shown as ``Name(field=...)``."""
+    """An immutable value whose fields are its ``__slots__``, set once by
+    ``_set``, which is also ``__init__``: by position in ``__slots__``
+    order or by name, and a TypeError naming the fields on a missing, extra
+    or repeated one.  A record declares only ``__slots__``; a type that
+    validates overrides ``__init__`` and calls ``_set``.  Equal to an
+    instance of the same class with equal fields, hashed by the fields,
+    shown as ``Name(field=...)``."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def _set(self, *values, **named) -> None:
+        names = self.__slots__
+        if named or len(values) != len(names):
+            fields = dict(zip(names, values), **named)
+            if len(values) + len(named) != len(names) or fields.keys() != set(names):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {', '.join(names)};"
+                    f" got {len(values)} by position and {sorted(named)} by name"
+                )
+            values = [fields[name] for name in names]
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+
+    __init__ = _set
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to field {name!r}")

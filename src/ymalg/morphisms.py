@@ -26,7 +26,7 @@ from __future__ import annotations
 import _thread
 import os
 import random
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .free_lie import FreeLieElement, FreeTarget, standard_factorization
 from .linalg import Value, require_in
@@ -224,12 +224,11 @@ class Sl2CaseParameters(Value):
                 raise ValueError("alpha, beta, gamma must be pairs over Q(i)")
 
 
-class Sl2CaseConditions(NamedTuple):
+class Sl2CaseConditions(Value):
     """Closed-form vanishing conditions: three scalars from the residual of
     r_3 and three coefficient-pair vectors from the residuals of r_1, r_2."""
 
-    r3_conditions: tuple
-    rj_conditions: tuple
+    __slots__ = ("r3_conditions", "rj_conditions")
 
     @property
     def all_zero(self) -> bool:
@@ -300,11 +299,8 @@ def solvable_non_nilpotent_example() -> GeneratorMorphism:
     return GeneratorMorphism(3, sl2, [h, e, h * I])
 
 
-class MorphismAnalysis(NamedTuple):
-    residuals_zero: bool
-    image_dim: int
-    is_solvable: bool
-    is_nilpotent: bool
+class MorphismAnalysis(Value):
+    __slots__ = ("residuals_zero", "image_dim", "is_solvable", "is_nilpotent")
 
 
 def analyze_sl2_morphism(phi: GeneratorMorphism) -> MorphismAnalysis:
@@ -314,17 +310,14 @@ def analyze_sl2_morphism(phi: GeneratorMorphism) -> MorphismAnalysis:
     )
 
 
-class AuditReport(NamedTuple):
+class AuditReport(Value):
     """Outcome of sampling candidate morphisms ym(3) -> sl(2): every
     residual-zero candidate must have solvable image."""
 
-    samples: int
-    seed: int
-    candidates: int
-    residual_zero: int
-    non_residual_zero: int
-    solvable_violations: tuple
-    non_nilpotent_example: MorphismAnalysis
+    __slots__ = (
+        "samples", "seed", "candidates", "residual_zero", "non_residual_zero",
+        "solvable_violations", "non_nilpotent_example",
+    )
 
 
 def _rand_scalar(rng: random.Random) -> GaussianRational:

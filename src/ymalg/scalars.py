@@ -28,9 +28,9 @@ Examples: ``"3/2"``, ``"-1+2i"``, ``"i"``, ``"0"``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from math import gcd
 from numbers import Rational
-from typing import Iterable, Mapping
 
 
 class GaussianRational:

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import Combination, Echelon, Subspace, Value, bilinear, require_in
 from .scalars import clear_denominators, format_linear, parse_scalar
@@ -401,13 +401,12 @@ def _bracket_span(
     return span
 
 
-class SeriesReport(NamedTuple):
+class SeriesReport(Value):
     """Derived and lower central series of a bracket-closed subspace."""
 
-    derived_series: tuple
-    lower_central_series: tuple
-    is_solvable: bool
-    is_nilpotent: bool
+    __slots__ = (
+        "derived_series", "lower_central_series", "is_solvable", "is_nilpotent"
+    )
 
     @property
     def derived_dims(self) -> tuple:
@@ -449,13 +448,10 @@ def series_analysis(
     )
 
 
-class ImageAnalysis(NamedTuple):
+class ImageAnalysis(Value):
     """The subalgebra generated by some elements of a finite algebra."""
 
-    image_dim: int
-    is_solvable: bool
-    is_nilpotent: bool
-    is_surjective: bool
+    __slots__ = ("image_dim", "is_solvable", "is_nilpotent", "is_surjective")
 
 
 def analyze_image(
@@ -565,16 +561,12 @@ class WittTarget(_Labelled, Value):
 _WITT = WittTarget()  # the space of every WittElement
 
 
-class WindowReport(NamedTuple):
+class WindowReport(Value):
     """Finite generation evidence: which e_n with |n| <= window lie in the
     span of iterated brackets up to the given depth.  This is evidence on a
     window, not a proof of generation."""
 
-    depth: int
-    window: int
-    covered: tuple
-    central_covered: bool
-    span_dim: int
+    __slots__ = ("depth", "window", "covered", "central_covered", "span_dim")
 
     def covers_window(self) -> bool:
         return len(self.covered) == 2 * self.window + 1

@@ -4,10 +4,11 @@
 imports only the library modules it runs.  The contract is read from
 ``sys.modules`` in fresh interpreters (``python -B``, so no bytecode is
 written), and each subcommand also runs in ``python -I -S -B``, with no
-site-packages, to show the library needs only the standard library;
-nothing here is timed.  The records are ``NamedTuple``s and the
-validated types small ``__slots__`` classes: all are immutable, and the
-latter compare by class and value."""
+site-packages, to show the library needs only the standard library and
+loads no ``typing``; nothing here is timed.  Records and validated types
+alike are ``linalg.Value`` classes: immutable, built by position or by
+name, and equal only to an instance of the same class with equal
+fields."""
 
 import copy
 import json
@@ -24,6 +25,7 @@ import ymalg
 from ymalg.free_lie import FreeLieElement, FreeTarget, GradedDims
 from ymalg.kac_moody import MatrixData, build_realization, is_generalized_cartan
 from ymalg.morphisms import (
+    MorphismAnalysis,
     Sl2CaseParameters,
     analyze_sl2_morphism,
     sl2_case_residual,
@@ -32,6 +34,7 @@ from ymalg.morphisms import (
 )
 from ymalg.scalars import GaussianRational as GR
 from ymalg.targets import (
+    ImageAnalysis,
     WittTarget,
     analyze_image,
     generated_window,
@@ -124,6 +127,13 @@ class TestImportContract:
         if "dataclasses" in _python("import json, sys\n" + MODULES):
             pytest.skip("the bare interpreter already loads dataclasses")
         assert "dataclasses" not in modules_after(command)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_subcommand_loads_typing(self, command):
+        bare = _python("import json, sys\n" + MODULES, flags=("-I", "-S", "-B"))
+        if "typing" in bare:
+            pytest.skip("the bare interpreter already loads typing")
+        assert "typing" not in isolated_modules(command)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_no_subcommand_loads_openssl_or_decimal(self, command):
@@ -232,11 +242,46 @@ class TestValueTypes:
         assert repr(FreeTarget(2)) == "FreeTarget(m=2)"
         assert repr(WittTarget()) == "WittTarget(virasoro=False)"
         assert repr(GradedDims(2, (2, 1))) == "GradedDims(n=2, dims=(2, 1))"
+        assert repr(ImageAnalysis(1, True, True, False)) == (
+            "ImageAnalysis(image_dim=1, is_solvable=True, is_nilpotent=True,"
+            " is_surjective=False)"
+        )
 
     def test_copies_and_pickles_are_equal(self):
-        for obj in (FreeTarget(3), WittTarget(True), GradedDims(2, (2, 1)),
-                    Sl2CaseParameters("semisimple", ZERO2, ZERO2, ZERO2)):
-            assert copy.deepcopy(obj) == obj == pickle.loads(pickle.dumps(obj))
+        for name, (build, _) in INSTANCES.items():
+            obj = build()
+            for other in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(other) is type(obj), name
+                if name == "SeriesReport":
+                    # its series hold Subspaces, which equal only themselves
+                    assert other.derived_dims == obj.derived_dims
+                    assert other.lower_central_dims == obj.lower_central_dims
+                else:
+                    assert other == obj and hash(other) == hash(obj), name
+
+    def test_records_take_fields_by_position_or_by_name(self):
+        image = ImageAnalysis(1, True, True, False)
+        assert image == ImageAnalysis(
+            is_surjective=False, is_nilpotent=True, image_dim=1, is_solvable=True
+        )
+        assert image == ImageAnalysis(1, True, is_surjective=False, is_nilpotent=True)
+        assert image != ImageAnalysis(1, True, False, False)
+        fields = "image_dim, is_solvable, is_nilpotent, is_surjective"
+        for args, named in (
+            ((1, True, True), {}),  # missing
+            ((1, True, True, False, None), {}),  # extra by position
+            ((1, True, True, False), {"rank": 1}),  # extra by name
+            ((1, True, True), {"rank": 1}),  # unknown in place of a field
+            ((1, True, True, False), {"image_dim": 1}),  # repeated
+        ):
+            with pytest.raises(TypeError, match=fields):
+                ImageAnalysis(*args, **named)
+
+    def test_records_are_not_tuples(self):
+        image = ImageAnalysis(1, True, True, False)
+        assert image != MorphismAnalysis(1, True, True, False)
+        assert image != (1, True, True, False)
+        assert not isinstance(image, tuple)
 
     def test_validation_on_construction(self):
         x1 = FreeLieElement.generator(2, 1)
